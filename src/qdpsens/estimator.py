@@ -3,7 +3,8 @@
 Follows the scikit-learn protocol (fit / predict / get_params / set_params)
 without depending on scikit-learn itself, so the solver drops into
 pipeline-shaped tooling: fit() factorizes one problem, predict() maps an
-array of direction vectors to an array of stacked derivative trajectories.
+array of direction vectors to an array of stacked derivative trajectories
+through one influence sweep and one block forward roll for all rows.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from .convexify import convexify
 from .exceptions import NotFitted, SoscFailed, ValidationError
 from .model import QdpProblem
 from .nullspace import reduced_hessian_gamma
-from .riccati import backward_pass, forward_solve
-from .sensitivity import PerturbationDirection, SensitivityResult, solve_sensitivity
+from .riccati import backward_pass, forward_solve, forward_solve_block
+from .sensitivity import PerturbationDirection, SensitivityResult, _sensitivity_result
 
 
 def check_direction_array(L, n_dir: int) -> np.ndarray:
@@ -85,16 +86,13 @@ class RiccatiSensitivityEstimator:
         """Stacked derivative trajectory for every row of L."""
         self._require_fit()
         arr = check_direction_array(L, self.n_features_in_)
-        out = np.empty((arr.shape[0], self.problem_.dims.n_z))
-        for idx, row in enumerate(arr):
-            traj = forward_solve(self.riccati_, self._conv_qdp, row)
-            out[idx] = traj.stacked()
-        return out
+        return forward_solve_block(self.riccati_, self._conv_qdp, arr)
 
     def transform(self, L) -> np.ndarray:
         return self.predict(L)
 
     def solve_direction(self, l: PerturbationDirection) -> SensitivityResult:
-        """Rich per-direction result (norms, fit, metadata)."""
+        """Rich per-direction result (norms, fit, metadata) from the fitted factorization."""
         self._require_fit()
-        return solve_sensitivity(self.problem_, l, self.delta_fraction)
+        traj = forward_solve(self.riccati_, self._conv_qdp, l)
+        return _sensitivity_result(traj, l, self.gamma_, self.delta_)

@@ -286,25 +286,13 @@ class Trajectory:
     @classmethod
     def from_stacked(cls, dims: Dims, w) -> "Trajectory":
         w = as_vector(w, dims.n_z, "stacked trajectory")
-        nx, nu = dims.nx, dims.nu
-        states = np.empty((dims.N + 1, nx))
-        controls = np.empty((dims.N, nu))
-        off = 0
-        for k in range(dims.N):
-            states[k] = w[off:off + nx]
-            controls[k] = w[off + nx:off + nx + nu]
-            off += nx + nu
-        states[dims.N] = w[off:off + nx]
-        return cls(states, controls)
+        body = w[:dims.N * (dims.nx + dims.nu)].reshape(dims.N, dims.nx + dims.nu)
+        return cls(np.vstack([body[:, :dims.nx], w[None, -dims.nx:]]), body[:, dims.nx:])
 
     def stacked(self) -> Array:
         """Stage-ordered vector (p_0; q_0; ...; p_{N-1}; q_{N-1}; p_N)."""
-        parts = []
-        for k in range(self.controls.shape[0]):
-            parts.append(self.states[k])
-            parts.append(self.controls[k])
-        parts.append(self.states[-1])
-        return np.concatenate(parts)
+        body = np.hstack([self.states[:-1], self.controls])
+        return np.concatenate([body.reshape(-1), self.states[-1]])
 
     def state_norms(self) -> Array:
         return np.linalg.norm(self.states, axis=1)

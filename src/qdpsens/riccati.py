@@ -1,22 +1,30 @@
-"""Backward recursion, forward reconstruction, and closed-form state maps.
+"""Backward recursion, batched forward reconstruction, and closed-form state maps.
 
 The backward pass produces the cost-to-go matrices K_k together with the
 control weights W_k = R_k + B_k' K_{k+1} B_k, feedback gains
 P_k = -W_k^{-1} (B_k' K_{k+1} A_k + S_k), closed-loop transitions
-E_k = A_k + B_k P_k, and the spread matrices O_k = B_k W_k^{-1} B_k'. The
-forward pass reconstructs the optimal controls for a direction l by a
-single backward sweep that accumulates the influence of later-stage
-direction blocks through the identities M_i^k = M_i^{k+1} E_k and
-V_i^k = V_i^{k+1} E_k, where
+E_k = A_k + B_k P_k, and the spread matrices O_k = B_k W_k^{-1} B_k'.
+
+Every direction shares that one factorization, and the minimizer is linear
+in the direction, so a block of m directions (the columns of L_k, nd x m)
+is reconstructed by one influence sweep and one forward roll over
+(nx x m) and (nu x m) blocks. The influence sweep carries a single
+accumulator for the later-stage direction blocks,
+
+    s_N = 0,
+    s_k = -(D1_k + D2_k P_k)' L_k + E_k' (s_{k+1} - K_{k+1} C_k L_k),
+
+which equals sum_{i>=k} [(M_i^k)' l_i + (V_i^k)' C_i l_i] for the chains
 
     M_i^k = -(D1_i + D2_i P_i) E_{i-1} ... E_k,
     V_i^k = -K_{i+1} E_i ... E_k,
 
-so memory and work stay linear in the horizon. The optimal control law is
+so memory and work stay linear in the horizon and -2 s_k is the linear
+term of the tail cost from stage k. The optimal control law is
 
-    q_k(p_k) = P_k p_k
-               + W_k^{-1} B_k' sum_{i>k} [(M_i^{k+1})' l_i + (V_i^{k+1})' C_i l_i]
-               - W_k^{-1} (D2_k + C_k' K_{k+1} B_k)' l_k.
+    q_k(p_k) = P_k p_k + W_k^{-1} [B_k' (s_{k+1} - K_{k+1} C_k L_k) - D2_k' L_k],
+
+with one W_k solve per stage for the whole block.
 """
 
 from __future__ import annotations
@@ -101,45 +109,47 @@ def backward_pass(qdp: QdpProblem) -> RiccatiSolution:
     )
 
 
-def _influence_sweep(rs: RiccatiSolution, qdp: QdpProblem, l):
-    """Accumulated later-stage influence vectors for every stage.
+def _influence_sweep(rs: RiccatiSolution, qdp: QdpProblem, lst: np.ndarray) -> np.ndarray:
+    """Accumulators s_0..s_N, shape (N + 1, nx, m), for direction blocks lst (N, nd, m)."""
+    dims = qdp.dims
+    s = np.zeros((dims.N + 1, dims.nx, lst.shape[2]))
+    for k in range(dims.N - 1, -1, -1):
+        st = qdp.stages[k]
+        lk = lst[k]
+        s[k] = rs.E[k].T @ (s[k + 1] - rs.K[k + 1] @ (st.C @ lk)) - (st.D1 + st.D2 @ rs.P[k]).T @ lk
+    return s
 
-    Returns (sm, sv) with sm[k] = sum_{i>k} (M_i^{k+1})' l_i and
-    sv[k] = sum_{i>k} (V_i^{k+1})' C_i l_i.
+
+def forward_solve_block(rs: RiccatiSolution, qdp: QdpProblem, L: np.ndarray) -> np.ndarray:
+    """Stacked minimizers (p_0; q_0; ...; p_N) for every row of L, shape (m, n_z).
+
+    L holds one dense direction (l_{-1}; l_0; ...; l_{N-1}) per row. States
+    come from rolling the dynamics under the optimal controls, so every row
+    is feasible by construction.
     """
     dims = qdp.dims
-    _, l_stages = _direction_parts(l, dims)
-    sm = [np.zeros(dims.nx) for _ in range(dims.N)]
-    sv = [np.zeros(dims.nx) for _ in range(dims.N)]
-    for k in range(dims.N - 2, -1, -1):
-        j = k + 1
-        st = qdp.stages[j]
-        lj = l_stages[j]
-        m_jj = -(st.D1 + st.D2 @ rs.P[j])
-        sm[k] = m_jj.T @ lj + rs.E[j].T @ sm[k + 1]
-        sv[k] = rs.E[j].T @ (sv[k + 1] - rs.K[j + 1] @ (st.C @ lj))
-    return sm, sv, l_stages
+    N, nx, nu = dims.N, dims.nx, dims.nu
+    m = L.shape[0]
+    lst = np.ascontiguousarray(L[:, nx:].reshape(m, N, dims.nd).transpose(1, 2, 0))
+    s = _influence_sweep(rs, qdp, lst)
+    states = np.empty((N + 1, nx, m))
+    controls = np.empty((N, nu, m))
+    states[0] = L[:, :nx].T
+    for k in range(N):
+        st = qdp.stages[k]
+        cl = st.C @ lst[k]
+        drive = st.B.T @ (s[k + 1] - rs.K[k + 1] @ cl) - st.D2.T @ lst[k]
+        controls[k] = rs.P[k] @ states[k] + rs.solve_W(k, drive)
+        states[k + 1] = st.A @ states[k] + st.B @ controls[k] + cl
+    body = np.concatenate([states[:N], controls], axis=1).reshape(N * (nx + nu), m)
+    return np.ascontiguousarray(np.concatenate([body, states[N]]).T)
 
 
 def forward_solve(rs: RiccatiSolution, qdp: QdpProblem, l) -> Trajectory:
-    """Reconstruct the unique minimizer for direction l.
-
-    States come from rolling the dynamics under the optimal controls, so the
-    result is feasible by construction.
-    """
-    dims = qdp.dims
-    sm, sv, l_stages = _influence_sweep(rs, qdp, l)
-    l_minus1, _ = _direction_parts(l, dims)
-    controls = np.empty((dims.N, dims.nu))
-    states = np.empty((dims.N + 1, dims.nx))
-    states[0] = l_minus1
-    for k in range(dims.N):
-        st = qdp.stages[k]
-        lk = l_stages[k]
-        drive = st.B.T @ (sm[k] + sv[k]) - (st.D2.T @ lk + st.B.T @ (rs.K[k + 1] @ (st.C @ lk)))
-        controls[k] = rs.P[k] @ states[k] + rs.solve_W(k, drive)
-        states[k + 1] = st.A @ states[k] + st.B @ controls[k] + st.C @ lk
-    return Trajectory(states, controls)
+    """Reconstruct the unique minimizer for direction l (the one-row block)."""
+    l_minus1, l_stages = _direction_parts(l, qdp.dims)
+    row = np.concatenate([l_minus1, l_stages.reshape(-1)])
+    return Trajectory.from_stacked(qdp.dims, forward_solve_block(rs, qdp, row[None, :])[0])
 
 
 @dataclass(frozen=True)
@@ -158,9 +168,10 @@ class CostToGo:
 def cost_to_go_terms(rs: RiccatiSolution, qdp: QdpProblem, l, k: int) -> CostToGo:
     """Coefficients of the tail cost from stage k for direction l.
 
-    The constant term follows the backward recursion
-    T_k = T_{k+1} + l_k' C_k' K_{k+1} C_k l_k - 2 (sm_k + sv_k) . C_k l_k
-          - | (D2_k' + B_k' K_{k+1} C_k) l_k - B_k'(sm_k + sv_k) |^2_{W_k^{-1}}
+    The linear term is -2 s_k from the influence sweep, and the constant term
+    follows the backward recursion
+    T_j = T_{j+1} + l_j' C_j' K_{j+1} C_j l_j - 2 s_{j+1} . C_j l_j
+          - | (D2_j' + B_j' K_{j+1} C_j) l_j - B_j' s_{j+1} |^2_{W_j^{-1}}
     and vanishes whenever all direction blocks from stage k on are zero.
     """
     dims = qdp.dims
@@ -168,20 +179,17 @@ def cost_to_go_terms(rs: RiccatiSolution, qdp: QdpProblem, l, k: int) -> CostToG
         raise ValidationError(f"stage {k} outside [0, {dims.N}]")
     if k == dims.N:
         return CostToGo(rs.K[dims.N].copy(), np.zeros(dims.nx), 0.0)
-    sm, sv, l_stages = _influence_sweep(rs, qdp, l)
+    _, l_stages = _direction_parts(l, dims)
+    s = _influence_sweep(rs, qdp, l_stages[:, :, None])[:, :, 0]
     constant = 0.0
     for j in range(dims.N - 1, k - 1, -1):
         st = qdp.stages[j]
         lj = l_stages[j]
         cl = st.C @ lj
-        tprime = constant + cl @ rs.K[j + 1] @ cl - 2.0 * (sm[j] + sv[j]) @ cl
-        v = st.D2.T @ lj + st.B.T @ (rs.K[j + 1] @ cl) - st.B.T @ (sm[j] + sv[j])
+        tprime = constant + cl @ rs.K[j + 1] @ cl - 2.0 * s[j + 1] @ cl
+        v = st.D2.T @ lj + st.B.T @ (rs.K[j + 1] @ cl) - st.B.T @ s[j + 1]
         constant = tprime - float(v @ rs.solve_W(j, v))
-    st = qdp.stages[k]
-    lk = l_stages[k]
-    shat = -(st.D1 + st.D2 @ rs.P[k]).T @ lk + rs.E[k].T @ sm[k]
-    vhat = rs.E[k].T @ (sv[k] - rs.K[k + 1] @ (st.C @ lk))
-    return CostToGo(rs.K[k].copy(), -2.0 * (shat + vhat), constant)
+    return CostToGo(rs.K[k].copy(), -2.0 * s[k], constant)
 
 
 def cost_to_go(rs: RiccatiSolution, qdp: QdpProblem, l, k: int, p_k) -> float:

@@ -195,7 +195,11 @@ def solve_sensitivity(qdp: QdpProblem, l, delta_fraction: float = 0.9) -> Sensit
     conv = convexify(qdp, delta)
     conv_qdp = conv.as_qdp()
     rs = backward_pass(conv_qdp)
-    traj = forward_solve(rs, conv_qdp, l)
+    return _sensitivity_result(forward_solve(rs, conv_qdp, l), l, gamma, delta)
+
+
+def _sensitivity_result(traj: Trajectory, l, gamma: float, delta: float) -> SensitivityResult:
+    """Norms, decay fit from the direction's source stage, and metadata."""
     norm_p = traj.state_norms()
     norm_q = traj.control_norms()
     source = getattr(l, "source_stage", None)

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from ._linalg import inf_norm, sym_eigvals
-from .convexify import convexify, select_delta
-from .exceptions import SingularKkt, SolverDiverged, SoscFailed, QdpSensError
+from ._linalg import inf_norm
+from .exceptions import SingularKkt, SolverDiverged
 from .model import (
     Dims,
     NldpModel,
@@ -107,10 +106,10 @@ class NewtonResult:
 
 
 def _model_state(model: NldpModel, d: np.ndarray, traj: Trajectory):
-    """Jacobians, Lagrangian Hessian blocks, gradients, residuals at a point."""
+    """Constraint Jacobian, cost gradient and constraint residuals at a point."""
     dims = model.dims
     x, u = traj.states, traj.controls
-    jacs, hess = [], []
+    jacs = []
     cons = np.empty(dims.n_con)
     cons[:dims.nx] = x[0] - d[:dims.nx]
     for k in range(dims.N):
@@ -121,7 +120,7 @@ def _model_state(model: NldpModel, d: np.ndarray, traj: Trajectory):
         ).reshape(-1)
     grad = cost_gradient_vector(model, x, u, d)
     G = staircase_jacobian(dims, [j[0] for j in jacs], [j[1] for j in jacs])
-    return jacs, G, grad, cons
+    return G, grad, cons
 
 
 def _hessian_blocks(model: NldpModel, d, traj, lam):
@@ -137,7 +136,7 @@ def _hessian_blocks(model: NldpModel, d, traj, lam):
     return blocks, QN
 
 
-def _step_system(dims: Dims, blocks, QN, jacs, G, grad, cons):
+def _step_system(dims: Dims, blocks, QN, G, grad, cons):
     """Assemble and solve the plain Newton step saddle system."""
     H = scipy.linalg.block_diag(
         *[np.block([[Q, S.T], [S, R]]) for (Q, S, R) in blocks], QN
@@ -152,64 +151,7 @@ def _step_system(dims: Dims, blocks, QN, jacs, G, grad, cons):
     sol = scipy.linalg.lu_solve((lu, piv), rhs)
     if not np.all(np.isfinite(sol)):
         raise SingularKkt("Newton step system produced non-finite values")
-    return sol[:n], sol[n:], H
-
-
-def _regularized_step(dims: Dims, blocks, QN, jacs, G, grad, cons):
-    """Newton step through the shifting transformation.
-
-    The shift rewrites the step QP without moving its primal minimizer
-    provided the linear term absorbs the cross coupling with the constraint
-    residuals: the stage gradient gains A_k' Qbar_{k+1} r_k on the state
-    part and B_k' Qbar_{k+1} r_k on the control part, r_k being the
-    dynamics residual entering block row k+1.
-    """
-    step_qdp = QdpProblem(
-        dims,
-        [
-            {
-                "Q": blocks[k][0],
-                "S": blocks[k][1],
-                "R": blocks[k][2],
-                "D1": np.zeros((dims.nd, dims.nx)),
-                "D2": np.zeros((dims.nd, dims.nu)),
-                "A": jacs[k][0],
-                "B": jacs[k][1],
-                "C": jacs[k][2],
-            }
-            for k in range(dims.N)
-        ],
-        QN,
-    )
-    try:
-        delta = select_delta(step_qdp)
-    except SoscFailed:
-        delta = 1e-3 * (1.0 + step_qdp.max_block_norm())
-    conv = convexify(step_qdp, delta)
-    tilted = grad.copy()
-    rhs_dyn = -cons
-    for k in range(dims.N):
-        rk = rhs_dyn[(k + 1) * dims.nx:(k + 2) * dims.nx]
-        qb_r = conv.Qbar[k + 1] @ rk
-        off = k * (dims.nx + dims.nu)
-        tilted[off:off + dims.nx] += jacs[k][0].T @ qb_r
-        tilted[off + dims.nx:off + dims.nx + dims.nu] += jacs[k][1].T @ qb_r
-    Ht = conv.as_qdp().full_hessian()
-    n, m = dims.n_z, dims.n_con
-    kkt = np.zeros((n + m, n + m))
-    kkt[:n, :n] = Ht
-    kkt[:n, n:] = G.T
-    kkt[n:, :n] = G
-    lu, piv = scipy.linalg.lu_factor(kkt)
-    sol = scipy.linalg.lu_solve((lu, piv), np.concatenate([-tilted, -cons]))
-    if not np.all(np.isfinite(sol)):
-        raise SingularKkt("regularized Newton step produced non-finite values")
-    dz = sol[:n]
-    H = scipy.linalg.block_diag(
-        *[np.block([[Q, S.T], [S, R]]) for (Q, S, R) in blocks], QN
-    )
-    lam_new, *_ = np.linalg.lstsq(G.T, -(H @ dz + grad), rcond=None)
-    return dz, lam_new, H
+    return sol[:n], sol[n:]
 
 
 def newton_equality_solve(
@@ -221,40 +163,25 @@ def newton_equality_solve(
 ) -> NewtonResult:
     """Full-step Lagrange-Newton iteration on the stationarity system.
 
-    Each step solves the saddle system built from the current Lagrangian
-    Hessian blocks; when those are indefinite, the step goes through the
-    shifting transformation instead (same primal step, better-conditioned
-    system). Convergence requires both the stationarity and constraint
-    residuals to drop to the absolute tolerance; there is no globalization,
-    so starting points must be reasonable.
+    Each step solves the dense saddle system built from the current
+    Lagrangian Hessian blocks. Those blocks may be indefinite: the step is
+    well defined whenever the reduced Hessian is nonsingular, and a singular
+    system raises SingularKkt. Convergence requires both the stationarity and
+    constraint residuals to drop to the absolute tolerance; there is no
+    globalization, so starting points must be reasonable.
     """
     dims = model.dims
     d = np.asarray(d, dtype=float).reshape(-1)
-    x = np.array(init.states, dtype=float)
-    u = np.array(init.controls, dtype=float)
+    traj = Trajectory(init.states, init.controls)
     lam = np.zeros(dims.n_con)
+    G, grad, cons = _model_state(model, d, traj)
     residual = np.inf
     for iteration in range(1, max_iterations + 1):
-        traj = Trajectory(x, u)
-        jacs, G, grad, cons = _model_state(model, d, traj)
         blocks, QN = _hessian_blocks(model, d, traj, lam)
-        min_block_eig = min(
-            min(sym_eigvals(np.block([[Q, S.T], [S, R]]))[0] for (Q, S, R) in blocks),
-            float(sym_eigvals(QN)[0]),
-        )
-        try:
-            if min_block_eig < -1e-12:
-                dz, lam_next, _ = _regularized_step(dims, blocks, QN, jacs, G, grad, cons)
-            else:
-                dz, lam_next, _ = _step_system(dims, blocks, QN, jacs, G, grad, cons)
-        except (SingularKkt, QdpSensError):
-            dz, lam_next, _ = _step_system(dims, blocks, QN, jacs, G, grad, cons)
+        dz, lam = _step_system(dims, blocks, QN, G, grad, cons)
         step = Trajectory.from_stacked(dims, dz)
-        x = x + step.states
-        u = u + step.controls
-        lam = np.asarray(lam_next, dtype=float)
-        traj = Trajectory(x, u)
-        _, G, grad, cons = _model_state(model, d, traj)
+        traj = Trajectory(traj.states + step.states, traj.controls + step.controls)
+        G, grad, cons = _model_state(model, d, traj)
         stat = inf_norm(grad + G.T @ lam)
         feas = inf_norm(cons)
         residual = max(stat, feas)

@@ -69,6 +69,91 @@ class TestFitPredict:
         assert res.source_stage == 6
         assert res.delta == pytest.approx(fitted.delta_)
 
+    def test_solve_direction_matches_pipeline(self, fitted, tracking_linear_qdp_module):
+        qdp = tracking_linear_qdp_module
+        for i in (-1, 0, 6):
+            l = qs.unit_direction(qdp.dims, i, 1)
+            res = fitted.solve_direction(l)
+            ref = qs.solve_sensitivity(qdp, l, fitted.delta_fraction)
+            assert np.max(np.abs(res.trajectory.stacked() - ref.trajectory.stacked())) <= 1e-12
+            assert (res.gamma, res.delta, res.source_stage) == (fitted.gamma_, fitted.delta_, i)
+            assert np.array_equal(res.state_norms, res.trajectory.state_norms())
+            assert (res.rho_fit, res.fit_intercept) == (ref.rho_fit, ref.fit_intercept)
+
+    def test_solve_direction_reuses_fit(self, fitted, tracking_linear_qdp_module, monkeypatch):
+        def refuse(qdp):
+            raise AssertionError("reduced_hessian_gamma called after fit")
+
+        monkeypatch.setattr(qs.sensitivity, "reduced_hessian_gamma", refuse)
+        res = fitted.solve_direction(qs.unit_direction(tracking_linear_qdp_module.dims, 6, 1))
+        assert res.gamma == fitted.gamma_
+
+
+class TestBatchedPredict:
+    """predict() runs one influence sweep and one block forward roll for all rows."""
+
+    @pytest.fixture(scope="class")
+    def fitted_pool(self, small_pool):
+        return [(qdp, qs.RiccatiSensitivityEstimator().fit(qdp)) for qdp in small_pool]
+
+    def test_jacobian_matches_dense_oracle(self, fitted_pool):
+        assert any(qdp.dims.nu < qdp.dims.nx for qdp, _ in fitted_pool)
+        for qdp, est in fitted_pool:
+            eye = np.eye(qdp.dims.n_dir)
+            jac = est.predict(eye)
+            assert jac.shape == (qdp.dims.n_dir, qdp.dims.n_z)
+            for row, l in zip(jac, eye):
+                ref = qs.dense_kkt_solve(qdp, l).trajectory.stacked()
+                assert np.max(np.abs(row - ref)) / max(1.0, np.max(np.abs(ref))) <= 1e-8
+
+    def test_rows_match_single_direction_solve(self, fitted_pool):
+        rng = np.random.default_rng(41)
+        for qdp, est in fitted_pool:
+            conv_qdp = est.convexified_.as_qdp()
+            L = np.vstack([np.eye(qdp.dims.n_dir), rng.standard_normal((3, qdp.dims.n_dir))])
+            for row, l in zip(est.predict(L), L):
+                single = qs.forward_solve(est.riccati_, conv_qdp, l).stacked()
+                assert np.max(np.abs(row - single)) <= 1e-12
+
+    def test_empty_block(self, fitted_pool):
+        qdp, est = fitted_pool[0]
+        assert est.predict(np.zeros((0, qdp.dims.n_dir))).shape == (0, qdp.dims.n_z)
+
+    def test_linear_in_the_direction(self, fitted_pool):
+        rng = np.random.default_rng(42)
+        for qdp, est in fitted_pool:
+            L1, L2 = rng.standard_normal((2, 4, qdp.dims.n_dir))
+            a, b = 0.7, -1.3
+            combined = est.predict(a * L1 + b * L2)
+            assert np.max(np.abs(combined - (a * est.predict(L1) + b * est.predict(L2)))) <= 1e-12
+
+    def test_bitwise_stable_across_calls_and_threads(self, fitted_pool):
+        from concurrent.futures import ThreadPoolExecutor
+
+        blocks = [(est, np.eye(qdp.dims.n_dir)) for qdp, est in fitted_pool]
+        serial = [est.predict(L) for est, L in blocks]
+        again = [est.predict(L) for est, L in blocks]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            parallel = list(pool.map(lambda item: item[0].predict(item[1]), blocks))
+        for a, b, c in zip(serial, again, parallel):
+            assert np.array_equal(a, b)
+            assert np.array_equal(a, c)
+
+    def test_one_W_solve_per_stage(self, fitted_pool, monkeypatch):
+        """A per-row loop would solve with W_k N * n_dir times instead of N."""
+        calls = []
+        solve_W = qs.RiccatiSolution.solve_W
+
+        def counting(rs, k, rhs):
+            calls.append(k)
+            return solve_W(rs, k, rhs)
+
+        monkeypatch.setattr(qs.RiccatiSolution, "solve_W", counting)
+        for qdp, est in fitted_pool:
+            calls.clear()
+            est.predict(np.eye(qdp.dims.n_dir))
+            assert sorted(calls) == list(range(qdp.dims.N))
+
 
 class TestValidation:
     def test_not_fitted(self):

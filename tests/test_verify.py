@@ -65,8 +65,9 @@ class TestNewtonSolve:
         assert sol.iterations == 1
 
     def test_indefinite_tracking_problem_regularized_step(self, tracking_exp_model):
-        """The tracking toy problem has indefinite stage Hessians, so every
-        step takes the shifted path; it must still be the exact step."""
+        """The tracking toy problem has indefinite stage Hessians; the plain
+        saddle step is still the exact step, since its reduced Hessian is
+        positive definite."""
         model = tracking_exp_model
         d = model.d0.copy()
         d[1 + 20] = 0.01
