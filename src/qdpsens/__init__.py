@@ -10,7 +10,6 @@ from .convexify import (
     ConvexifiedQdp,
     EquivalenceReport,
     convexify,
-    select_delta,
     shifted_problem,
     verify_equivalence,
 )
@@ -72,15 +71,18 @@ from .sensitivity import (
     BoundsReport,
     ControllabilityReport,
     DecayFit,
+    Factorization,
     PerturbationDirection,
     SensitivityResult,
     auto_controllability,
     controllability,
     direction_in_block,
+    factorize,
     finite_difference_sensitivity,
     fit_decay_rate,
     lambda_bcs,
     reachability_matrix,
+    select_delta,
     solve_sensitivity,
     theoretical_constants,
     unit_direction,

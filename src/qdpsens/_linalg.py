@@ -14,7 +14,8 @@ from .exceptions import ValidationError
 
 
 def symmetrize(mat: np.ndarray) -> np.ndarray:
-    return 0.5 * (mat + mat.T)
+    """Symmetric part of a square matrix, or of each matrix in a stack."""
+    return 0.5 * (mat + np.swapaxes(mat, -1, -2))
 
 
 def asymmetry(mat: np.ndarray) -> float:
@@ -31,6 +32,17 @@ def operator_norm(mat: np.ndarray) -> float:
         return 0.0
     gram = mat @ mat.T if mat.shape[0] <= mat.shape[1] else mat.T @ mat
     top = float(scipy.linalg.eigvalsh(symmetrize(gram))[-1])
+    return float(np.sqrt(max(top, 0.0)))
+
+
+def max_operator_norm(blocks) -> float:
+    """max(operator_norm(b) for b in blocks) by one stacked Gram eigensolve."""
+    stack = np.asarray(blocks, dtype=float)
+    if stack.size == 0:
+        return 0.0
+    tr = np.swapaxes(stack, -1, -2)
+    gram = stack @ tr if stack.shape[-2] <= stack.shape[-1] else tr @ stack
+    top = float(np.max(np.linalg.eigvalsh(symmetrize(gram))[:, -1]))
     return float(np.sqrt(max(top, 0.0)))
 
 

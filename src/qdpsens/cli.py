@@ -11,13 +11,13 @@ import json
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import click
 import numpy as np
 
 from . import presets
-from .convexify import convexify, select_delta
+from .convexify import convexify
 from .exceptions import (
     ControllabilityFailed,
     IndefiniteW,
@@ -36,8 +36,8 @@ from .nullspace import reduced_hessian_gamma
 from .sensitivity import (
     auto_controllability,
     controllability,
+    factorize,
     solve_sensitivity,
-    theoretical_constants,
     unit_direction,
     write_decay_csv,
 )
@@ -175,7 +175,8 @@ def convexify_cmd(problem, delta, fraction, output, n, mu1, mu2, gamma0, seed):
     def run():
         qdp = _load_input(problem, n, mu1, mu2, gamma0, seed)
         if delta == "auto":
-            value = select_delta(qdp, fraction)
+            fac = factorize(qdp, fraction)
+            value, conv = fac.delta, fac.convexified
         else:
             try:
                 value = float(delta)
@@ -188,7 +189,7 @@ def convexify_cmd(problem, delta, fraction, output, n, mu1, mu2, gamma0, seed):
                     "positive definiteness is no longer guaranteed",
                     stacklevel=1,
                 )
-        conv = convexify(qdp, value)
+            conv = convexify(qdp, value)
         if conv.semidefinite:
             click.echo("warning: zero shift produces only positive semidefinite blocks", err=True)
         with open(output, "w") as fh:
@@ -213,8 +214,9 @@ def sensitivity(problem, stage, coord, output, fraction, as_json, n, mu1, mu2, g
         qdp = _load_input(problem, n, mu1, mu2, gamma0, seed)
         i = qdp.dims.N // 2 if stage is None else stage
         l = unit_direction(qdp.dims, i, coord)
-        result = solve_sensitivity(qdp, l, delta_fraction=fraction)
-        bounds = theoretical_constants(qdp, result.delta)
+        fac = factorize(qdp, fraction)
+        result = fac.solve(l)
+        bounds = fac.bounds()
         if output:
             write_decay_csv(output, result, bounds, clamp=LOG_CLAMP)
         summary = {

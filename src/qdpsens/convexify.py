@@ -30,11 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import SymSolve, inf_norm, symmetrize
+from ._linalg import SymSolve, inf_norm, max_operator_norm, symmetrize
 from .exceptions import (
     NonInvertibleRtilde,
     NotPositiveDefinite,
-    SoscFailed,
     ValidationError,
 )
 from .model import Dims, QdpProblem, _direction_parts
@@ -99,13 +98,9 @@ class ConvexifiedQdp:
 
     def max_block_norm(self) -> float:
         """Largest spectral norm over transformed cost blocks."""
-        from ._linalg import operator_norm
-
-        worst = operator_norm(self.terminal_Qt)
-        for st in self.stages:
-            for blk in (st.Qt, st.Rt, st.St, st.Dt1, st.Dt2):
-                worst = max(worst, operator_norm(blk))
-        return worst
+        stacks = [[getattr(st, name) for st in self.stages]
+                  for name in ("Qt", "Rt", "St", "Dt1", "Dt2")]
+        return max(max_operator_norm(blocks) for blocks in [[self.terminal_Qt], *stacks])
 
     def to_json_dict(self) -> dict:
         data = self.as_qdp().to_json_dict()
@@ -157,23 +152,6 @@ def convexify(qdp: QdpProblem, delta: float) -> ConvexifiedQdp:
         semidefinite=(delta == 0.0),
         _source=qdp,
     )
-
-
-def select_delta(qdp: QdpProblem, fraction: float = 0.9) -> float:
-    """Shift as a fraction of the reduced-curvature bound gamma.
-
-    The sufficient interval is (0, gamma); pushing the shift close to gamma
-    gives the transformed problem the largest certified curvature floor, so
-    the default sits at 0.9.
-    """
-    from .nullspace import reduced_hessian_gamma
-
-    if not 0.0 < fraction < 1.0:
-        raise ValidationError(f"fraction must lie in (0, 1), got {fraction}")
-    gamma = reduced_hessian_gamma(qdp)
-    if gamma <= 0.0:
-        raise SoscFailed(gamma)
-    return fraction * gamma
 
 
 def shifted_problem(qdp: QdpProblem, delta: float) -> QdpProblem:

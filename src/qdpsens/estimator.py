@@ -2,21 +2,20 @@
 
 Follows the scikit-learn protocol (fit / predict / get_params / set_params)
 without depending on scikit-learn itself, so the solver drops into
-pipeline-shaped tooling: fit() factorizes one problem, predict() maps an
-array of direction vectors to an array of stacked derivative trajectories
-through one influence sweep and one block forward roll for all rows.
+pipeline-shaped tooling: fit() factorizes one problem into one
+``sensitivity.Factorization``, predict() maps an array of direction vectors
+to an array of stacked derivative trajectories through one influence sweep
+and one block forward roll for all rows.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .convexify import convexify
-from .exceptions import NotFitted, SoscFailed, ValidationError
+from .exceptions import NotFitted, ValidationError
 from .model import QdpProblem
-from .nullspace import reduced_hessian_gamma
-from .riccati import backward_pass, forward_solve, forward_solve_block
-from .sensitivity import PerturbationDirection, SensitivityResult, _sensitivity_result
+from .riccati import forward_solve_block
+from .sensitivity import PerturbationDirection, SensitivityResult, factorize
 
 
 def check_direction_array(L, n_dir: int) -> np.ndarray:
@@ -42,10 +41,11 @@ class RiccatiSensitivityEstimator:
         Fraction of the reduced-curvature bound used as the shift
         parameter of the convexification, in (0, 1).
 
-    After ``fit(qdp)`` the instance exposes ``gamma_``, ``delta_``,
-    ``convexified_``, ``riccati_`` and ``n_features_in_``; ``predict``
-    maps rows of a direction array to stacked trajectories (p_0; q_0; ...;
-    p_N), one row each.
+    After ``fit(qdp)`` the instance exposes ``factorization_`` (the one
+    ``Factorization`` every later call reads from), ``gamma_``, ``delta_``,
+    ``convexified_`` and ``riccati_`` taken from it, and ``n_features_in_``;
+    ``predict`` maps rows of a direction array to stacked trajectories
+    (p_0; q_0; ...; p_N), one row each.
     """
 
     def __init__(self, delta_fraction: float = 0.9):
@@ -62,19 +62,10 @@ class RiccatiSensitivityEstimator:
         return self
 
     def fit(self, qdp: QdpProblem, y=None) -> "RiccatiSensitivityEstimator":
-        if not 0.0 < self.delta_fraction < 1.0:
-            raise ValidationError(
-                f"delta_fraction must lie in (0, 1), got {self.delta_fraction}"
-            )
-        gamma = reduced_hessian_gamma(qdp)
-        if gamma <= 0.0:
-            raise SoscFailed(gamma)
         self.problem_ = qdp
-        self.gamma_ = gamma
-        self.delta_ = self.delta_fraction * gamma
-        self.convexified_ = convexify(qdp, self.delta_)
-        self._conv_qdp = self.convexified_.as_qdp()
-        self.riccati_ = backward_pass(self._conv_qdp)
+        self.factorization_ = fac = factorize(qdp, self.delta_fraction)
+        self.gamma_, self.delta_ = fac.gamma, fac.delta
+        self.convexified_, self.riccati_ = fac.convexified, fac.riccati
         self.n_features_in_ = qdp.dims.n_dir
         return self
 
@@ -86,7 +77,8 @@ class RiccatiSensitivityEstimator:
         """Stacked derivative trajectory for every row of L."""
         self._require_fit()
         arr = check_direction_array(L, self.n_features_in_)
-        return forward_solve_block(self.riccati_, self._conv_qdp, arr)
+        fac = self.factorization_
+        return forward_solve_block(fac.riccati, fac.convexified_qdp, arr)
 
     def transform(self, L) -> np.ndarray:
         return self.predict(L)
@@ -94,5 +86,4 @@ class RiccatiSensitivityEstimator:
     def solve_direction(self, l: PerturbationDirection) -> SensitivityResult:
         """Rich per-direction result (norms, fit, metadata) from the fitted factorization."""
         self._require_fit()
-        traj = forward_solve(self.riccati_, self._conv_qdp, l)
-        return _sensitivity_result(traj, l, self.gamma_, self.delta_)
+        return self.factorization_.solve(l)

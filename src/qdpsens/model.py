@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._linalg import asymmetry, symmetrize
+from ._linalg import asymmetry, max_operator_norm, symmetrize
 from .exceptions import MultiplierRecoveryError, ValidationError
 
 SYMMETRY_TOL = 1e-10
@@ -198,13 +198,9 @@ class QdpProblem:
 
     def max_block_norm(self) -> float:
         """Largest spectral norm over all stored blocks (data bound)."""
-        from ._linalg import operator_norm
-
-        worst = operator_norm(self.terminal_Q)
-        for st in self.stages:
-            for blk in (st.Q, st.R, st.S, st.D1, st.D2, st.A, st.B, st.C):
-                worst = max(worst, operator_norm(blk))
-        return worst
+        stacks = [[getattr(st, name) for st in self.stages]
+                  for name in ("Q", "R", "S", "D1", "D2", "A", "B", "C")]
+        return max(max_operator_norm(blocks) for blocks in [[self.terminal_Q], *stacks])
 
     def to_json_dict(self) -> dict:
         def rows(mat):
@@ -392,10 +388,6 @@ class NldpModel:
                     f"multipliers: expected {(dims.N + 1, dims.nx)}, got {lam.shape}"
                 )
             object.__setattr__(self, "multipliers", _freeze(lam))
-
-    def d_init(self, d: Array | None = None) -> Array:
-        d = self.d0 if d is None else d
-        return d[: self.dims.nx]
 
     def d_stage(self, k: int, d: Array | None = None) -> Array:
         d = self.d0 if d is None else d

@@ -4,7 +4,10 @@ The directional derivative of a stagewise program's solution with respect
 to its reference vector solves a quadratic program built from the
 Lagrangian Hessian at the base point. The pipeline here convexifies that
 program, runs the backward/forward recursion, and reports per-stage norms
-together with every constant of the exponential-decay certificate:
+together with every constant of the exponential-decay certificate. One
+``Factorization`` (gamma, the shift, the convexified program and its
+Riccati solution) is built per problem and shift, and both the trajectory
+and the certificate are read from it:
 
     gamma                 reduced-curvature lower bound of the original data
     upsilon               largest block norm of the original data
@@ -31,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import operator_norm, sym_eigvals
-from .convexify import convexify
+from ._linalg import max_operator_norm, sym_eigvals
+from .convexify import ConvexifiedQdp, convexify
 from .exceptions import (
     ControllabilityFailed,
     InsufficientData,
@@ -41,7 +44,7 @@ from .exceptions import (
 )
 from .model import Dims, NldpModel, QdpProblem, Trajectory, as_vector
 from .nullspace import reduced_hessian_gamma
-from .riccati import backward_pass, forward_solve
+from .riccati import RiccatiSolution, backward_pass, forward_solve
 
 DECAY_FLOOR = 1e-12
 
@@ -89,13 +92,7 @@ def unit_direction(dims: Dims, i: int, j: int) -> PerturbationDirection:
     block = dims.nx if i == -1 else dims.nd
     if not 1 <= j <= block:
         raise ValidationError(f"coordinate {j} outside [1, {block}] for stage {i}")
-    l0 = np.zeros(dims.nx)
-    ls = np.zeros((dims.N, dims.nd))
-    if i == -1:
-        l0[j - 1] = 1.0
-    else:
-        ls[i, j - 1] = 1.0
-    return PerturbationDirection(l0, ls, source_stage=i)
+    return direction_in_block(dims, i, np.eye(block)[j - 1])
 
 
 def direction_in_block(dims: Dims, i: int, values) -> PerturbationDirection:
@@ -188,38 +185,7 @@ def solve_sensitivity(qdp: QdpProblem, l, delta_fraction: float = 0.9) -> Sensit
     solution along l; it matches the dense saddle-point oracle applied to
     the original indefinite program.
     """
-    gamma = reduced_hessian_gamma(qdp)
-    if gamma <= 0.0:
-        raise SoscFailed(gamma)
-    delta = delta_fraction * gamma
-    conv = convexify(qdp, delta)
-    conv_qdp = conv.as_qdp()
-    rs = backward_pass(conv_qdp)
-    return _sensitivity_result(forward_solve(rs, conv_qdp, l), l, gamma, delta)
-
-
-def _sensitivity_result(traj: Trajectory, l, gamma: float, delta: float) -> SensitivityResult:
-    """Norms, decay fit from the direction's source stage, and metadata."""
-    norm_p = traj.state_norms()
-    norm_q = traj.control_norms()
-    source = getattr(l, "source_stage", None)
-    rho_fit = intercept = None
-    if source is not None:
-        try:
-            fit = fit_decay_rate(norm_p, source)
-            rho_fit, intercept = fit.rho_fit, fit.intercept
-        except InsufficientData:
-            pass
-    return SensitivityResult(
-        trajectory=traj,
-        state_norms=norm_p,
-        control_norms=norm_q,
-        source_stage=source,
-        gamma=gamma,
-        delta=delta,
-        rho_fit=rho_fit,
-        fit_intercept=intercept,
-    )
+    return factorize(qdp, delta_fraction).solve(l)
 
 
 @dataclass(frozen=True)
@@ -274,17 +240,25 @@ def auto_controllability(qdp: QdpProblem, t_max: int | None = None,
     """Pick the smallest uniform horizon whose worst-stage Gramian clears floor.
 
     The certified Gramian floor is then that worst-stage minimum eigenvalue,
-    which keeps the downstream constants as tight as the data allows.
+    which keeps the downstream constants as tight as the data allows. The
+    per-stage horizons come from the eigenvalues the scan already took, and
+    the report equals ``controllability(qdp, lambda_c, t_max)``.
     """
     dims = qdp.dims
     t_max = dims.N if t_max is None else t_max
+    if not 1 <= t_max <= dims.N:
+        raise ValidationError(f"t_max must lie in [1, {dims.N}], got {t_max}")
+    # eigs[k][t - 1]: smallest Gramian eigenvalue of the length-t window from
+    # stage k; windows stop growing at the horizon, so eigs[k][-1] is current.
+    eigs = [[] for _ in range(dims.N)]
     for t in range(1, t_max + 1):
-        worst = np.inf
-        for k in range(dims.N):
-            xi = reachability_matrix(qdp, k, min(t, dims.N - k))
-            worst = min(worst, float(sym_eigvals(xi @ xi.T)[0]))
-        if worst >= floor:
-            return controllability(qdp, worst, t_max=t_max)
+        for k in range(dims.N - t + 1):
+            xi = reachability_matrix(qdp, k, t)
+            eigs[k].append(float(sym_eigvals(xi @ xi.T)[0]))
+        worst = min(ev[-1] for ev in eigs)
+        if worst >= floor and worst > 0.0:
+            t_stages = tuple(next(w for w, e in enumerate(ev, 1) if e >= worst) for ev in eigs)
+            return ControllabilityReport(float(worst), t_stages, max(t_stages), True)
     raise ControllabilityFailed(
         f"no uniform horizon up to {t_max} clears the Gramian floor {floor:g}"
     )
@@ -334,97 +308,144 @@ class BoundsReport:
         return self.upsilon_pq * self.rho ** dist
 
 
-def theoretical_constants(
-    qdp: QdpProblem,
-    delta: float,
-    lambda_c: float | None = None,
-    t_max: int | None = None,
-) -> BoundsReport:
-    """Evaluate the full certificate chain for a fixed shift parameter.
-
-    Requires positive reduced curvature, delta strictly inside (0, gamma),
-    and a passing reachability check (auto-selected when lambda_c is not
-    given). The resulting envelopes are proven upper bounds for this
-    problem; the decay rate rho always lies in (0, 1).
+@dataclass(frozen=True)
+class Factorization:
+    """One problem factorized once: gamma, the shift delta in (0, gamma), the
+    convexified program (blocks and plain program) and its Riccati solution.
+    Every direction's sensitivity (``solve``) and the decay certificate
+    (``bounds``) are read from it. Build it with ``factorize``.
     """
+
+    problem: QdpProblem
+    gamma: float
+    delta: float
+    convexified: ConvexifiedQdp
+    convexified_qdp: QdpProblem
+    riccati: RiccatiSolution
+
+    def solve(self, l) -> SensitivityResult:
+        """Derivative trajectory along l, its norms, and the decay fit from its source stage."""
+        traj = forward_solve(self.riccati, self.convexified_qdp, l)
+        norm_p = traj.state_norms()
+        source = getattr(l, "source_stage", None)
+        rho_fit = intercept = None
+        if source is not None:
+            try:
+                fit = fit_decay_rate(norm_p, source)
+                rho_fit, intercept = fit.rho_fit, fit.intercept
+            except InsufficientData:
+                pass
+        return SensitivityResult(
+            trajectory=traj, state_norms=norm_p, control_norms=traj.control_norms(),
+            source_stage=source, gamma=self.gamma, delta=self.delta,
+            rho_fit=rho_fit, fit_intercept=intercept)
+
+    def bounds(self, lambda_c: float | None = None, t_max: int | None = None) -> BoundsReport:
+        """Evaluate the full certificate chain at this factorization's shift.
+
+        Requires a passing reachability check (auto-selected when lambda_c
+        is not given). The resulting envelopes are proven upper bounds for
+        this problem; the decay rate rho always lies in (0, 1).
+        """
+        qdp, gamma, delta = self.problem, self.gamma, self.delta
+        if lambda_c is None:
+            ctrl = auto_controllability(qdp, t_max=t_max)
+        else:
+            ctrl = controllability(qdp, lambda_c, t_max=t_max)
+            if not ctrl.passed:
+                raise ControllabilityFailed(
+                    f"reachability Gramians do not clear lambda_c = {lambda_c:g} "
+                    f"within the allowed horizon"
+                )
+        t, lam_c = int(ctrl.t), ctrl.lambda_c
+
+        upsilon = qdp.max_block_norm()
+        psi = float(sum(upsilon ** j for j in range(1, t + 1)))
+        upsilon_qbar = 2.0 * upsilon * (
+            1.0
+            + psi ** 2 * upsilon ** (2 * t) / lam_c ** 2
+            + sum((upsilon ** j + psi ** 2 * upsilon ** t / lam_c) ** 2 for j in range(1, t))
+        )
+
+        upsilon_tilde = self.convexified.max_block_norm()
+        lam_h = lambda_bcs(delta, upsilon_tilde, gamma)
+        upsilon_tilde_qbar = max_operator_norm(self.riccati.K)
+
+        upsilon_e = float(np.sqrt(upsilon_tilde_qbar / lam_h))
+        rho = float(np.sqrt(upsilon_tilde_qbar / (upsilon_tilde_qbar + lam_h)))
+
+        # Data bound for the transformed problem: the measured transformed-block
+        # bound does not necessarily dominate the untouched A, B, C blocks.
+        ups = max(upsilon, upsilon_tilde)
+        upsilon_p_gain = max(1.0, (ups ** 2 * upsilon_tilde_qbar + ups) / gamma)
+        one_minus_rho2 = lam_h / (upsilon_tilde_qbar + lam_h)
+        upsilon_u = (
+            (1.0 + upsilon_p_gain) * upsilon_e ** 2 * ups ** 3 / (gamma * one_minus_rho2)
+            + upsilon_e * ups ** 2 / (gamma * rho)
+        )
+        upsilon_f = (
+            ups ** 2 * upsilon_e ** 2 * upsilon_tilde_qbar * rho / (gamma * one_minus_rho2)
+            + upsilon_e / rho
+            + ups ** 2 * upsilon_e * upsilon_tilde_qbar / (gamma * rho)
+        )
+        upsilon_uf = max(upsilon_u, upsilon_f)
+        upsilon_p = (1.0 + ups) * upsilon_uf
+        upsilon_pq1 = upsilon_p_gain * upsilon_e
+        upsilon_pq2 = (
+            upsilon_p * upsilon_p_gain
+            + (1.0 + upsilon_p_gain + rho * upsilon_tilde_qbar) * upsilon_e * ups ** 2 / (gamma * rho)
+            + (ups ** 2 * upsilon_tilde_qbar + ups) / gamma
+        )
+        return BoundsReport(
+            gamma=gamma, delta=delta, upsilon=upsilon, t=t, lambda_c=lam_c, psi=psi,
+            upsilon_qbar=upsilon_qbar, upsilon_tilde=upsilon_tilde, lambda_bcs=lam_h,
+            lambda_h=lam_h, upsilon_tilde_qbar=upsilon_tilde_qbar, upsilon_e=upsilon_e,
+            rho=rho, upsilon_p=upsilon_p, upsilon_u=upsilon_u, upsilon_f=upsilon_f,
+            upsilon_uf=upsilon_uf, upsilon_pq=max(upsilon_pq1, upsilon_pq2))
+
+
+def factorize(qdp: QdpProblem, delta_fraction: float = 0.9) -> Factorization:
+    """Factorize qdp once at the shift delta_fraction * gamma.
+
+    delta_fraction must lie in (0, 1), which keeps the shift inside the
+    certified interval (0, gamma); it is checked before any work is done.
+    """
+    if not 0.0 < delta_fraction < 1.0:
+        raise ValidationError(f"delta_fraction must lie in (0, 1), got {delta_fraction}")
+    return _factorize(qdp, lambda gamma: delta_fraction * gamma)
+
+
+def _factorize(qdp: QdpProblem, shift) -> Factorization:
+    """gamma, the shift delta = shift(gamma) in (0, gamma), convexify, backward pass."""
     gamma = reduced_hessian_gamma(qdp)
     if gamma <= 0.0:
         raise SoscFailed(gamma)
+    delta = float(shift(gamma))
     if not 0.0 < delta < gamma:
-        raise ValidationError(
-            f"delta must lie in (0, gamma) = (0, {gamma:.6g}), got {delta}"
-        )
-    if lambda_c is None:
-        ctrl = auto_controllability(qdp, t_max=t_max)
-    else:
-        ctrl = controllability(qdp, lambda_c, t_max=t_max)
-        if not ctrl.passed:
-            raise ControllabilityFailed(
-                f"reachability Gramians do not clear lambda_c = {lambda_c:g} "
-                f"within the allowed horizon"
-            )
-    t, lam_c = int(ctrl.t), ctrl.lambda_c
-
-    upsilon = qdp.max_block_norm()
-    psi = float(sum(upsilon ** j for j in range(1, t + 1)))
-    upsilon_qbar = 2.0 * upsilon * (
-        1.0
-        + psi ** 2 * upsilon ** (2 * t) / lam_c ** 2
-        + sum((upsilon ** j + psi ** 2 * upsilon ** t / lam_c) ** 2 for j in range(1, t))
-    )
-
+        raise ValidationError(f"delta must lie in (0, gamma) = (0, {gamma:.6g}), got {delta}")
     conv = convexify(qdp, delta)
-    upsilon_tilde = conv.max_block_norm()
-    lam_h = lambda_bcs(delta, upsilon_tilde, gamma)
+    conv_qdp = conv.as_qdp()
+    return Factorization(qdp, gamma, delta, conv, conv_qdp, backward_pass(conv_qdp))
 
-    rs = backward_pass(conv.as_qdp())
-    upsilon_tilde_qbar = max(operator_norm(K) for K in rs.K)
 
-    upsilon_e = float(np.sqrt(upsilon_tilde_qbar / lam_h))
-    rho = float(np.sqrt(upsilon_tilde_qbar / (upsilon_tilde_qbar + lam_h)))
+def select_delta(qdp: QdpProblem, fraction: float = 0.9) -> float:
+    """Shift as a fraction of the reduced-curvature bound gamma.
 
-    # Data bound for the transformed problem: the measured transformed-block
-    # bound does not necessarily dominate the untouched A, B, C blocks.
-    ups = max(upsilon, upsilon_tilde)
-    upsilon_p_gain = max(1.0, (ups ** 2 * upsilon_tilde_qbar + ups) / gamma)
-    one_minus_rho2 = lam_h / (upsilon_tilde_qbar + lam_h)
-    upsilon_u = (
-        (1.0 + upsilon_p_gain) * upsilon_e ** 2 * ups ** 3 / (gamma * one_minus_rho2)
-        + upsilon_e * ups ** 2 / (gamma * rho)
-    )
-    upsilon_f = (
-        ups ** 2 * upsilon_e ** 2 * upsilon_tilde_qbar * rho / (gamma * one_minus_rho2)
-        + upsilon_e / rho
-        + ups ** 2 * upsilon_e * upsilon_tilde_qbar / (gamma * rho)
-    )
-    upsilon_uf = max(upsilon_u, upsilon_f)
-    upsilon_p = (1.0 + ups) * upsilon_uf
-    upsilon_pq1 = upsilon_p_gain * upsilon_e
-    upsilon_pq2 = (
-        upsilon_p * upsilon_p_gain
-        + (1.0 + upsilon_p_gain + rho * upsilon_tilde_qbar) * upsilon_e * ups ** 2 / (gamma * rho)
-        + (ups ** 2 * upsilon_tilde_qbar + ups) / gamma
-    )
-    return BoundsReport(
-        gamma=gamma,
-        delta=float(delta),
-        upsilon=upsilon,
-        t=t,
-        lambda_c=lam_c,
-        psi=psi,
-        upsilon_qbar=upsilon_qbar,
-        upsilon_tilde=upsilon_tilde,
-        lambda_bcs=lam_h,
-        lambda_h=lam_h,
-        upsilon_tilde_qbar=upsilon_tilde_qbar,
-        upsilon_e=upsilon_e,
-        rho=rho,
-        upsilon_p=upsilon_p,
-        upsilon_u=upsilon_u,
-        upsilon_f=upsilon_f,
-        upsilon_uf=upsilon_uf,
-        upsilon_pq=max(upsilon_pq1, upsilon_pq2),
-    )
+    The sufficient interval is (0, gamma); pushing the shift close to gamma
+    gives the transformed problem the largest certified curvature floor, so
+    the default sits at 0.9.
+    """
+    return factorize(qdp, fraction).delta
+
+
+def theoretical_constants(qdp: QdpProblem, delta: float, lambda_c: float | None = None,
+                          t_max: int | None = None) -> BoundsReport:
+    """Evaluate the full certificate chain for a fixed shift parameter.
+
+    Requires positive reduced curvature, delta strictly inside (0, gamma),
+    and a passing reachability check (see ``Factorization.bounds``).
+    """
+    return _factorize(qdp, lambda gamma: delta).bounds(lambda_c, t_max)
 
 
 def finite_difference_sensitivity(model: NldpModel, l, eps: float) -> Trajectory:

@@ -138,6 +138,53 @@ class TestControllability:
         assert not rep.passed
 
 
+def _two_step_qdp(N: int = 6):
+    """Interior stages need two steps to reach; the last stage reaches in one."""
+    A = np.array([[0.0, 1.0], [1.0, 0.0]])
+    stage = {"Q": np.eye(2), "R": np.eye(2), "S": np.zeros((2, 2)),
+             "D1": np.zeros((1, 2)), "D2": np.zeros((1, 2)), "A": A,
+             "B": np.diag([1.0, 0.0]), "C": np.ones((2, 1))}
+    stages = [dict(stage) for _ in range(N - 1)] + [dict(stage, B=np.eye(2))]
+    return qs.QdpProblem(qs.Dims(N=N, nx=2, nu=2, nd=1), stages, np.eye(2))
+
+
+class TestAutoControllability:
+    def test_report_equals_fixed_floor_report(self, square_pool, tracking_linear_qdp):
+        for qdp in [*square_pool, tracking_linear_qdp, _two_step_qdp()]:
+            rep = qs.auto_controllability(qdp)
+            ref = qs.controllability(qdp, rep.lambda_c, t_max=qdp.dims.N)
+            assert rep.passed
+            assert (rep.lambda_c, rep.t_stages, rep.t, rep.passed) == (
+                ref.lambda_c, ref.t_stages, ref.t, ref.passed)
+
+    def test_multi_step_horizons(self):
+        rep = qs.auto_controllability(_two_step_qdp())
+        assert rep.t == 2
+        assert rep.t_stages == (2, 2, 2, 2, 2, 1)
+
+    def test_one_reachability_window_per_stage_and_length(self, square_pool, monkeypatch):
+        """Re-building every window for the final report would double the calls."""
+        calls = []
+        reachability_matrix = qs.reachability_matrix
+
+        def counting(qdp, k, t):
+            calls.append((k, t))
+            return reachability_matrix(qdp, k, t)
+
+        monkeypatch.setattr(qs.sensitivity, "reachability_matrix", counting)
+        for qdp in [*square_pool[:3], _two_step_qdp()]:
+            calls.clear()
+            rep = qs.auto_controllability(qdp)
+            N = qdp.dims.N
+            scanned = [(k, t) for k in range(N) for t in range(1, min(rep.t, N - k) + 1)]
+            assert sorted(calls) == sorted(scanned)
+
+    def test_horizon_bounds_validated(self, tracking_linear_qdp):
+        for t_max in (0, tracking_linear_qdp.dims.N + 1):
+            with pytest.raises(qs.ValidationError):
+                qs.auto_controllability(tracking_linear_qdp, t_max=t_max)
+
+
 class TestTheoreticalConstants:
     def test_rate_formula_plugin(self):
         # upsilon_tilde_qbar = 1, lambda_h = 1 gives envelope 1 and rate 1/sqrt(2)
