@@ -61,9 +61,9 @@ def inf_norm(vec_or_mat: np.ndarray) -> float:
 class SymSolve:
     """Eigendecomposition-backed solver for a symmetric matrix.
 
-    Exposes the spectrum used for definiteness checks and applies the
-    inverse through the same factorization, so callers that must agree to
-    tight per-entry tolerances share one numerical path.
+    Keeps the symmetrized matrix (``mat``) and its spectrum for definiteness
+    checks and applies the inverse through the same factorization, so callers
+    that must agree to tight per-entry tolerances share one numerical path.
     """
 
     def __init__(self, mat: np.ndarray):
@@ -71,7 +71,7 @@ class SymSolve:
         if not np.all(np.isfinite(mat)):
             raise ValidationError("symmetric solve requires finite entries")
         self.eigvals, self._vecs = scipy.linalg.eigh(mat)
-        self.shape = mat.shape
+        self.mat = mat
 
     @property
     def min_eig(self) -> float:
@@ -80,6 +80,10 @@ class SymSolve:
     @property
     def min_abs_eig(self) -> float:
         return float(np.min(np.abs(self.eigvals)))
+
+    @property
+    def max_abs_eig(self) -> float:
+        return float(max(-self.eigvals[0], self.eigvals[-1]))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)

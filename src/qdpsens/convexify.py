@@ -19,6 +19,8 @@ transformed stage Hessian to delta * I:
 
 For any shift delta strictly between zero and the reduced-curvature bound
 gamma, every Rt_k and every transformed stage Hessian is positive definite.
+Each stage runs the stage step of ``riccati.backward_pass`` with Qbar_{k+1}
+for K_{k+1}: Rt_k is its W_k, St_k its G_k and Qhat_k its X_k.
 The quadratic-in-l constant block produced by the update is not stored; it
 moves no minimizer. Where a reported objective difference needs it (the
 equivalence report below), it is reconstructed on the fly from Qbar.
@@ -37,6 +39,7 @@ from .exceptions import (
     ValidationError,
 )
 from .model import Dims, QdpProblem, _direction_parts
+from .riccati import _stage_step, backward_pass, forward_solve
 
 INVERTIBILITY_TOL = 1e-12
 
@@ -113,36 +116,34 @@ def convexify(qdp: QdpProblem, delta: float) -> ConvexifiedQdp:
     """Run the shifting recursion with a fixed shift parameter.
 
     delta = 0 is allowed (the output Hessians are then only positive
-    semidefinite and the result is flagged accordingly); any invertible but
-    indefinite Rt_k at delta = 0 is tolerated, while for delta > 0 a
-    negative Rt eigenvalue is an error because the positive-definiteness
-    guarantee has been lost.
+    semidefinite and the result is flagged accordingly); any invertible
+    (|eig|_min above INVERTIBILITY_TOL |eig|_max) but indefinite Rt_k at
+    delta = 0 is tolerated, while for delta > 0 a negative Rt eigenvalue is
+    an error because the positive-definiteness guarantee has been lost.
     """
     if delta < 0:
         raise ValidationError(f"shift parameter must be >= 0, got {delta}")
     dims = qdp.dims
-    nx = dims.nx
-    eye = np.eye(nx)
+    eye = np.eye(dims.nx)
     terminal_Qt = delta * eye
     qbar = [None] * (dims.N + 1)
     qbar[dims.N] = symmetrize(qdp.terminal_Q - terminal_Qt)
     stages = [None] * dims.N
-    for k in range(dims.N - 1, -1, -1):
-        st = qdp.stages[k]
-        qb = qbar[k + 1]
-        Qhat = symmetrize(st.Q + st.A.T @ qb @ st.A)
-        St = st.S + st.B.T @ qb @ st.A
-        Rt = symmetrize(st.R + st.B.T @ qb @ st.B)
-        Dt1 = st.D1 + st.C.T @ qb @ st.A
-        Dt2 = st.D2 + st.C.T @ qb @ st.B
-        fact = SymSolve(Rt)
-        if fact.min_abs_eig < INVERTIBILITY_TOL:
+
+    def check_Rt(k: int, fact: SymSolve) -> None:
+        if fact.min_abs_eig <= INVERTIBILITY_TOL * fact.max_abs_eig:
             raise NonInvertibleRtilde(k, fact.min_abs_eig)
         if delta > 0 and fact.min_eig < 0:
             raise NotPositiveDefinite(k, fact.min_eig)
-        Qt = symmetrize(St.T @ fact.solve(St)) + delta * eye
-        qbar[k] = symmetrize(Qhat - Qt)
-        stages[k] = ConvexifiedStage(Qt=Qt, Rt=Rt, St=St, Dt1=Dt1, Dt2=Dt2)
+
+    for k in range(dims.N - 1, -1, -1):
+        st = qdp.stages[k]
+        qb = qbar[k + 1]
+        fact, St, P, X = _stage_step(k, st, qb, check_Rt)
+        Qt = symmetrize(-St.T @ P) + delta * eye
+        qbar[k] = symmetrize(symmetrize(X) - Qt)
+        stages[k] = ConvexifiedStage(Qt=Qt, Rt=fact.mat, St=St, Dt1=st.D1 + st.C.T @ qb @ st.A,
+                                     Dt2=st.D2 + st.C.T @ qb @ st.B)
     return ConvexifiedQdp(
         dims=dims,
         delta=float(delta),
@@ -193,7 +194,6 @@ def verify_equivalence(qdp: QdpProblem, conv: ConvexifiedQdp, l) -> EquivalenceR
     dropped l-quadratic constant restored) must equal -l_{-1}' Qbar_0 l_{-1}.
     """
     from .model import eval_qdp_objective
-    from .riccati import backward_pass, forward_solve
     from .verify import dense_kkt_solve
 
     kkt = dense_kkt_solve(qdp, l)

@@ -55,8 +55,8 @@ class IndefiniteW(QdpSensError):
         self.min_eig = min_eig
         super().__init__(
             f"control weight at stage {stage} has minimum eigenvalue "
-            f"{min_eig:.6g} <= 1e-12; indefinite input beyond the reach of "
-            f"the backward recursion"
+            f"{min_eig:.6g} <= 1e-12 times its largest |eigenvalue|; "
+            f"indefinite input beyond the reach of the backward recursion"
         )
 
 

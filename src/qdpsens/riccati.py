@@ -2,8 +2,9 @@
 
 The backward pass produces the cost-to-go matrices K_k together with the
 control weights W_k = R_k + B_k' K_{k+1} B_k, feedback gains
-P_k = -W_k^{-1} (B_k' K_{k+1} A_k + S_k), closed-loop transitions
-E_k = A_k + B_k P_k, and the spread matrices O_k = B_k W_k^{-1} B_k'.
+P_k = -W_k^{-1} (B_k' K_{k+1} A_k + S_k) and closed-loop transitions
+E_k = A_k + B_k P_k, by one stage step that ``convexify`` shares. The spread
+matrices O_k = B_k W_k^{-1} B_k' are formed only by the closed-form oracle.
 
 Every direction shares that one factorization, and the minimizer is linear
 in the direction, so a block of m directions (the columns of L_k, nd x m)
@@ -49,7 +50,6 @@ class RiccatiSolution:
     W: tuple
     P: tuple
     E: tuple
-    O: tuple
     closed_loop_identity_residual: float
     _W_solvers: tuple
 
@@ -57,39 +57,40 @@ class RiccatiSolution:
         return self._W_solvers[k].solve(rhs)
 
 
+def _stage_step(k: int, st, K_next: np.ndarray, check):
+    """(fact, G, P, X): fact factorizes W = R + B' K_next B and goes to the
+    caller's typed ``check(k, fact)`` before use; G = B' K_next A + S,
+    P = -W^{-1} G, X = Q + A' K_next A. Each caller updates its own next matrix,
+    since one shared update rounds differently (1e-12 on recorded output)."""
+    fact = SymSolve(st.R + st.B.T @ K_next @ st.B)
+    check(k, fact)
+    G = st.B.T @ K_next @ st.A + st.S
+    return fact, G, -fact.solve(G), st.Q + st.A.T @ K_next @ st.A
+
+
 def backward_pass(qdp: QdpProblem) -> RiccatiSolution:
     """Run the cost-to-go recursion K_N = QN down to K_0.
 
-    Every W_k must be positive definite; that is guaranteed for transformed
-    problems and holds for the original one whenever the reduced curvature
-    bound is positive. The recursion also records the worst per-entry
-    residual of the closed-loop identity
+    Every W_k must clear W_MIN_EIG times its largest |eigenvalue|; that is
+    guaranteed for transformed problems and holds for the original one
+    whenever the reduced curvature bound is positive. The recursion also
+    records the worst per-entry residual of the closed-loop identity
     K_k = E_k' K_{k+1} E_k + [I P_k']' H_k [I; P_k] as a cheap invariant.
     """
     dims = qdp.dims
     K = [None] * (dims.N + 1)
-    W, P, E, O, solvers = [], [], [], [], []
+    P, E, solvers = [None] * dims.N, [None] * dims.N, [None] * dims.N
     K[dims.N] = qdp.terminal_Q.copy()
+
+    def check_W(k: int, fact: SymSolve) -> None:
+        if fact.min_eig <= W_MIN_EIG * fact.max_abs_eig:
+            raise IndefiniteW(k, fact.min_eig)
+
     for k in range(dims.N - 1, -1, -1):
         st = qdp.stages[k]
-        Knext = K[k + 1]
-        Wk = symmetrize(st.R + st.B.T @ Knext @ st.B)
-        fact = SymSolve(Wk)
-        if fact.min_eig <= W_MIN_EIG:
-            raise IndefiniteW(k, fact.min_eig)
-        gain_rhs = st.B.T @ Knext @ st.A + st.S
-        Pk = -fact.solve(gain_rhs)
-        Ek = st.A + st.B @ Pk
-        Kk = symmetrize(st.Q + st.A.T @ Knext @ st.A + gain_rhs.T @ Pk)
-        Ok = symmetrize(st.B @ fact.solve(st.B.T))
-        K[k] = Kk
-        W.append(Wk)
-        P.append(Pk)
-        E.append(Ek)
-        O.append(Ok)
-        solvers.append(fact)
-    for seq in (W, P, E, O, solvers):
-        seq.reverse()
+        solvers[k], G, P[k], X = _stage_step(k, st, K[k + 1], check_W)
+        K[k] = symmetrize(X + G.T @ P[k])
+        E[k] = st.A + st.B @ P[k]
 
     worst = 0.0
     for k in range(dims.N):
@@ -100,10 +101,9 @@ def backward_pass(qdp: QdpProblem) -> RiccatiSolution:
     return RiccatiSolution(
         dims=dims,
         K=tuple(K),
-        W=tuple(W),
+        W=tuple(fact.mat for fact in solvers),
         P=tuple(P),
         E=tuple(E),
-        O=tuple(O),
         closed_loop_identity_residual=worst,
         _W_solvers=tuple(solvers),
     )
@@ -232,9 +232,10 @@ def materialize_influence(rs: RiccatiSolution, qdp: QdpProblem, i: int):
     nx = dims.nx
     prod = _closed_loop_table(rs)
     st_i = qdp.stages[i]
+    O = [symmetrize(st.B @ rs.solve_W(s, st.B.T)) for s, st in enumerate(qdp.stages[:i + 1])]
     m_head = -(st_i.D1 + st_i.D2 @ rs.P[i])
     bw_d2 = st_i.B @ rs.solve_W(i, st_i.D2.T)
-    tail_f = np.eye(nx) - rs.O[i] @ rs.K[i + 1]
+    tail_f = np.eye(nx) - O[i] @ rs.K[i + 1]
     U = np.zeros((dims.N + 1, nx, dims.nd))
     F = np.zeros((dims.N + 1, nx, nx))
     for k in range(dims.N + 1):
@@ -244,8 +245,8 @@ def materialize_influence(rs: RiccatiSolution, qdp: QdpProblem, i: int):
             left = _product(prod, s + 1, k - 1, nx)
             m_is1 = m_head @ _product(prod, s + 1, i - 1, nx)
             v_is1 = -rs.K[i + 1] @ _product(prod, s + 1, i, nx)
-            u_acc += left @ rs.O[s] @ m_is1.T
-            f_acc += left @ rs.O[s] @ v_is1.T
+            u_acc += left @ O[s] @ m_is1.T
+            f_acc += left @ O[s] @ v_is1.T
         if i + 1 <= k:
             left = _product(prod, i + 1, k - 1, nx)
             u_acc -= left @ bw_d2

@@ -11,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import qdpsens as qs
+from qdpsens import riccati
 from qdpsens._linalg import max_operator_norm, operator_norm
 from qdpsens.cli import main
 
@@ -80,6 +81,21 @@ class TestDeltaFraction:
         assert result.exit_code == 1
         assert "delta_fraction" in result.output
         assert counts == {"reduced_hessian_gamma": 0, "convexify": 0, "backward_pass": 0}
+
+
+class TestSharedStageStep:
+    def test_one_step_per_stage(self, small_pool, monkeypatch):
+        """convexify and backward_pass each run the shared step once per stage."""
+        counts = count_calls(monkeypatch, riccati._stage_step)
+        for qdp in small_pool:
+            N = qdp.dims.N
+            before = counts["_stage_step"]
+            conv = qs.convexify(qdp, 0.5 * qs.reduced_hessian_gamma(qdp))
+            assert counts["_stage_step"] - before == N
+            qs.backward_pass(conv.as_qdp())
+            assert counts["_stage_step"] - before == 2 * N
+            qs.factorize(qdp)
+            assert counts["_stage_step"] - before == 4 * N
 
 
 def _per_block_max(blocks) -> float:

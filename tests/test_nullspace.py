@@ -137,6 +137,18 @@ class TestReducedHessianGamma:
                 gamma = qs.reduced_hessian_gamma(qdp)
                 assert gamma >= 0.8 * gamma0 - 1e-9
 
+    def test_expanding_dynamics_keep_exact_gamma(self):
+        """A = 3I stretches G's singular values to about 3^-N; at N = 20 the
+        pivoted QR still certifies full row rank. Every Hessian block
+        dominates I and the kernel vector moving only q_{N-1} and p_N
+        attains 1, so gamma is exactly 1."""
+        dims = qs.Dims(N=20, nx=2, nu=1, nd=1)
+        qdp = qs.QdpProblem.constant(
+            dims, Q=5.0 * np.eye(2), R=[[1.0]], S=np.zeros((1, 2)), D1=np.zeros((1, 2)),
+            D2=[[0.0]], A=3.0 * np.eye(2), B=[[1.0], [1.0]], C=np.zeros((2, 1)),
+            terminal_Q=np.eye(2))
+        assert qs.reduced_hessian_gamma(qdp) == pytest.approx(1.0, abs=1e-12)
+
     def test_invariant_under_basis_rotation(self, small_pool):
         for qdp in small_pool[:3]:
             gamma = qs.reduced_hessian_gamma(qdp)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qdpsens as qs
@@ -85,6 +85,25 @@ class TestSolveSensitivity:
         rep = qs.theoretical_constants(tracking_linear_qdp, res.delta)
         bound = rep.decay_bound(i, np.arange(tracking_linear_qdp.dims.N + 1))
         assert np.all(res.state_norms <= bound + 1e-9)
+
+    @settings(max_examples=25, deadline=None)
+    @given(k=st.integers(-15, 15), seed=st.integers(0, 20))
+    @example(k=-15, seed=7)
+    def test_invariant_under_cost_scaling(self, k, seed):
+        """Scaling Q, R, S, D1, D2 and Q_N by 10^k scales gamma, the shift and
+        every curvature check alike, so the sensitivity does not move."""
+        qdp = qs.random_sosc_qdp(seed, N=12, nx=3, nu=2, nd=2)
+        scale = 10.0 ** k
+        stages = [
+            {"Q": scale * blk.Q, "R": scale * blk.R, "S": scale * blk.S,
+             "D1": scale * blk.D1, "D2": scale * blk.D2, "A": blk.A, "B": blk.B, "C": blk.C}
+            for blk in qdp.stages
+        ]
+        scaled = qs.QdpProblem(qdp.dims, stages, scale * qdp.terminal_Q)
+        l = random_direction(qdp, np.random.default_rng(seed))
+        ref = qs.solve_sensitivity(qdp, l).trajectory.stacked()
+        got = qs.solve_sensitivity(scaled, l).trajectory.stacked()
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_sosc_failure_raised(self):
         dims = qs.Dims(N=2, nx=1, nu=1, nd=1)

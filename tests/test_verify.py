@@ -64,7 +64,7 @@ class TestNewtonSolve:
         sol = qs.newton_equality_solve(model, model.d0, wild)
         assert sol.iterations == 1
 
-    def test_indefinite_tracking_problem_regularized_step(self, tracking_exp_model):
+    def test_indefinite_tracking_problem_plain_step(self, tracking_exp_model):
         """The tracking toy problem has indefinite stage Hessians; the plain
         saddle step is still the exact step, since its reduced Hessian is
         positive definite."""
