@@ -6,13 +6,7 @@ and forward recursion, and certifies exponential decay of the sensitivity
 away from the perturbed stage with computable constants.
 """
 
-from .convexify import (
-    ConvexifiedQdp,
-    EquivalenceReport,
-    convexify,
-    shifted_problem,
-    verify_equivalence,
-)
+from .convexify import ConvexifiedQdp, convexify, shifted_problem
 from .estimator import RiccatiSensitivityEstimator, check_direction_array
 from .exceptions import (
     ControllabilityFailed,
@@ -60,12 +54,9 @@ from .riccati import (
     CostToGo,
     RiccatiSolution,
     backward_pass,
-    closed_form_p,
-    closed_loop_product_norm,
     cost_to_go,
     cost_to_go_terms,
     forward_solve,
-    materialize_influence,
 )
 from .sensitivity import (
     BoundsReport,
@@ -90,13 +81,18 @@ from .sensitivity import (
 )
 from .verify import (
     DerivativeCheckReport,
+    EquivalenceReport,
     KktSolution,
     NewtonResult,
+    closed_form_p,
+    closed_loop_product_norm,
     dense_kkt_solve,
     finite_diff_hessian_check,
+    materialize_influence,
     model_with_fd_derivatives,
     newton_equality_solve,
     random_sosc_qdp,
+    verify_equivalence,
 )
 
 __version__ = "0.1.0"

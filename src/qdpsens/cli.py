@@ -34,20 +34,20 @@ from .exceptions import (
 from .model import QdpProblem, assemble_qdp_from_nldp, load_qdp
 from .nullspace import reduced_hessian_gamma
 from .sensitivity import (
+    LOG_CLAMP,
     auto_controllability,
     controllability,
     factorize,
+    select_delta,
     solve_sensitivity,
     unit_direction,
     write_decay_csv,
 )
-from .verify import dense_kkt_solve, newton_equality_solve, random_sosc_qdp
+from .verify import newton_equality_solve, random_sosc_qdp, verify_equivalence
 
 EXIT_VALIDATION = 1
 EXIT_SOLVER = 2
 EXIT_IO = 3
-
-LOG_CLAMP = -500.0
 
 _VALIDATION_ERRORS = (
     ValidationError,
@@ -175,8 +175,7 @@ def convexify_cmd(problem, delta, fraction, output, n, mu1, mu2, gamma0, seed):
     def run():
         qdp = _load_input(problem, n, mu1, mu2, gamma0, seed)
         if delta == "auto":
-            fac = factorize(qdp, fraction)
-            value, conv = fac.delta, fac.convexified
+            value = select_delta(qdp, fraction)
         else:
             try:
                 value = float(delta)
@@ -189,7 +188,7 @@ def convexify_cmd(problem, delta, fraction, output, n, mu1, mu2, gamma0, seed):
                     "positive definiteness is no longer guaranteed",
                     stacklevel=1,
                 )
-            conv = convexify(qdp, value)
+        conv = convexify(qdp, value)
         if conv.semidefinite:
             click.echo("warning: zero shift produces only positive semidefinite blocks", err=True)
         with open(output, "w") as fh:
@@ -218,7 +217,7 @@ def sensitivity(problem, stage, coord, output, fraction, as_json, n, mu1, mu2, g
         result = fac.solve(l)
         bounds = fac.bounds()
         if output:
-            write_decay_csv(output, result, bounds, clamp=LOG_CLAMP)
+            write_decay_csv(output, result, bounds)
         summary = {
             "stage": i,
             "coord": coord,
@@ -380,7 +379,6 @@ def verify_cmd(problem, trials, as_json, n, mu1, mu2, gamma0, seed):
     def run():
         rng = np.random.default_rng(seed)
         worst = 0.0
-        checked = 0
         if problem is not None:
             instances = [_load_input(problem, n, mu1, mu2, gamma0, seed)]
         else:
@@ -390,17 +388,12 @@ def verify_cmd(problem, trials, as_json, n, mu1, mu2, gamma0, seed):
             i = int(rng.integers(-1, qdp.dims.N))
             block = qdp.dims.nx if i == -1 else qdp.dims.nd
             l = unit_direction(qdp.dims, i, int(rng.integers(1, block + 1)))
-            kkt = dense_kkt_solve(qdp, l)
-            res = solve_sensitivity(qdp, l)
-            ref = kkt.trajectory.stacked()
-            gap = float(np.max(np.abs(res.trajectory.stacked() - ref)) / max(1.0, np.max(np.abs(ref))))
-            worst = max(worst, gap)
-            checked += 1
-        report = {"instances": checked, "worst_relative_gap": worst, "pass": worst <= 1e-8}
+            worst = max(worst, verify_equivalence(factorize(qdp), l).primal_gap)
+        report = {"instances": len(instances), "worst_relative_gap": worst, "pass": worst <= 1e-8}
         if as_json:
             click.echo(json.dumps(report))
         else:
-            click.echo(f"cross-checked {checked} instance(s); worst relative gap {worst:.3e}")
+            click.echo(f"cross-checked {len(instances)} instance(s); worst relative gap {worst:.3e}")
             click.echo("agreement: pass" if report["pass"] else "agreement: FAIL")
         if not report["pass"]:
             sys.exit(EXIT_SOLVER)

@@ -23,7 +23,8 @@ Each stage runs the stage step of ``riccati.backward_pass`` with Qbar_{k+1}
 for K_{k+1}: Rt_k is its W_k, St_k its G_k and Qhat_k its X_k.
 The quadratic-in-l constant block produced by the update is not stored; it
 moves no minimizer. Where a reported objective difference needs it (the
-equivalence report below), it is reconstructed on the fly from Qbar.
+equivalence cross-check in ``verify``), ``direction_constant`` rebuilds it
+from Qbar.
 """
 
 from __future__ import annotations
@@ -32,14 +33,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import SymSolve, inf_norm, max_operator_norm, symmetrize
+from ._linalg import SymSolve, max_operator_norm, symmetrize
 from .exceptions import (
     NonInvertibleRtilde,
     NotPositiveDefinite,
     ValidationError,
 )
 from .model import Dims, QdpProblem, _direction_parts
-from .riccati import _stage_step, backward_pass, forward_solve
+from .riccati import _stage_step
 
 INVERTIBILITY_TOL = 1e-12
 
@@ -172,52 +173,3 @@ def shifted_problem(qdp: QdpProblem, delta: float) -> QdpProblem:
         for st in qdp.stages
     ]
     return QdpProblem(qdp.dims, stages, qdp.terminal_Q - delta * eye)
-
-
-@dataclass(frozen=True)
-class EquivalenceReport:
-    """Cross-check of the transformed problem against the original one."""
-
-    primal_gap: float
-    objective_offset: float
-    expected_offset: float
-    offset_error: float
-    passed: bool
-
-
-def verify_equivalence(qdp: QdpProblem, conv: ConvexifiedQdp, l) -> EquivalenceReport:
-    """Solve both problems for the same direction and compare.
-
-    The original indefinite program goes through the dense saddle-point
-    oracle; the transformed one through the backward/forward recursion. The
-    two minimizers must agree, and the objective difference (with the
-    dropped l-quadratic constant restored) must equal -l_{-1}' Qbar_0 l_{-1}.
-    """
-    from .model import eval_qdp_objective
-    from .verify import dense_kkt_solve
-
-    kkt = dense_kkt_solve(qdp, l)
-    conv_qdp = conv.as_qdp()
-    rs = backward_pass(conv_qdp)
-    traj = forward_solve(rs, conv_qdp, l)
-
-    w_kkt = kkt.trajectory.stacked()
-    w_ric = traj.stacked()
-    scale = max(1.0, inf_norm(w_kkt))
-    primal_gap = inf_norm(w_ric - w_kkt) / scale
-
-    obj_orig = eval_qdp_objective(qdp, l, kkt.trajectory)
-    obj_conv = eval_qdp_objective(conv_qdp, l, traj) + conv.direction_constant(l)
-    offset = obj_conv - obj_orig
-
-    l_minus1, _ = _direction_parts(l, qdp.dims)
-    expected = -float(l_minus1 @ conv.Qbar[0] @ l_minus1)
-    offset_scale = max(1.0, abs(obj_orig), abs(obj_conv))
-    offset_error = abs(offset - expected) / offset_scale
-    return EquivalenceReport(
-        primal_gap=primal_gap,
-        objective_offset=offset,
-        expected_offset=expected,
-        offset_error=offset_error,
-        passed=bool(primal_gap <= 1e-8 and offset_error <= 1e-8),
-    )

@@ -306,7 +306,7 @@ def eval_qdp_objective(qdp: QdpProblem, l, w: Trajectory) -> float:
     dims = qdp.dims
     if w.states.shape != (dims.N + 1, dims.nx) or w.controls.shape != (dims.N, dims.nu):
         raise ValidationError("trajectory shape inconsistent with problem dims")
-    l_stages = _direction_stages(l, dims)
+    l_stages = _direction_parts(l, dims)[1]
     total = 0.0
     for k, st in enumerate(qdp.stages):
         p, q, lk = w.states[k], w.controls[k], l_stages[k]
@@ -338,10 +338,6 @@ def _direction_parts(l, dims: Dims):
         return np.asarray(l.l_minus1, dtype=float), np.asarray(l.l_stages, dtype=float)
     vec = as_vector(l, dims.n_dir, "direction")
     return vec[:dims.nx], vec[dims.nx:].reshape(dims.N, dims.nd)
-
-
-def _direction_stages(l, dims: Dims) -> Array:
-    return _direction_parts(l, dims)[1]
 
 
 @dataclass(frozen=True)

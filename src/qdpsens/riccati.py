@@ -1,10 +1,11 @@
-"""Backward recursion, batched forward reconstruction, and closed-form state maps.
+"""Linear-time recursions: backward pass, batched forward reconstruction, cost-to-go.
 
 The backward pass produces the cost-to-go matrices K_k together with the
 control weights W_k = R_k + B_k' K_{k+1} B_k, feedback gains
 P_k = -W_k^{-1} (B_k' K_{k+1} A_k + S_k) and closed-loop transitions
-E_k = A_k + B_k P_k, by one stage step that ``convexify`` shares. The spread
-matrices O_k = B_k W_k^{-1} B_k' are formed only by the closed-form oracle.
+E_k = A_k + B_k P_k, by one stage step that ``convexify`` shares. Every
+function here does a fixed amount of work per stage; the closed-form state
+maps that check these recursions are oracles and live in ``verify``.
 
 Every direction shares that one factorization, and the minimizer is linear
 in the direction, so a block of m directions (the columns of L_k, nd x m)
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import SymSolve, asymmetry, inf_norm, operator_norm, symmetrize
+from ._linalg import SymSolve, asymmetry, inf_norm, symmetrize
 from .exceptions import IndefiniteW, ValidationError
 from .model import Dims, QdpProblem, Trajectory, _direction_parts
 
@@ -195,95 +196,3 @@ def cost_to_go_terms(rs: RiccatiSolution, qdp: QdpProblem, l, k: int) -> CostToG
 def cost_to_go(rs: RiccatiSolution, qdp: QdpProblem, l, k: int, p_k) -> float:
     """Optimal tail cost from stage k started at state p_k."""
     return cost_to_go_terms(rs, qdp, l, k).value(p_k)
-
-
-def _closed_loop_table(rs: RiccatiSolution):
-    """prod[a][b] = E_b E_{b-1} ... E_a for 0 <= a <= b <= N-1."""
-    N = rs.dims.N
-    nx = rs.dims.nx
-    prod = [[None] * N for _ in range(N)]
-    for a in range(N):
-        acc = np.eye(nx)
-        for b in range(a, N):
-            acc = rs.E[b] @ acc
-            prod[a][b] = acc
-    return prod
-
-
-def _product(prod, a: int, b: int, nx: int) -> np.ndarray:
-    """E_b ... E_a with the empty-range convention of the identity."""
-    if a > b:
-        return np.eye(nx)
-    return prod[a][b]
-
-
-def materialize_influence(rs: RiccatiSolution, qdp: QdpProblem, i: int):
-    """Explicit state-influence matrices (U_i^k, F_i^k) for one source stage.
-
-    For all k in [0, N]:
-        U_i^k = sum_{s < min(i,k)} (E_{k-1}..E_{s+1}) O_s (M_i^{s+1})'
-                - (E_{k-1}..E_{i+1}) B_i W_i^{-1} D2_i'   [if i < k]
-        F_i^k = sum_{s < min(i,k)} (E_{k-1}..E_{s+1}) O_s (V_i^{s+1})'
-                + (E_{k-1}..E_{i+1}) (I - O_i K_{i+1})    [if i < k]
-    """
-    dims = qdp.dims
-    if not 0 <= i <= dims.N - 1:
-        raise ValidationError(f"source stage {i} outside [0, {dims.N - 1}]")
-    nx = dims.nx
-    prod = _closed_loop_table(rs)
-    st_i = qdp.stages[i]
-    O = [symmetrize(st.B @ rs.solve_W(s, st.B.T)) for s, st in enumerate(qdp.stages[:i + 1])]
-    m_head = -(st_i.D1 + st_i.D2 @ rs.P[i])
-    bw_d2 = st_i.B @ rs.solve_W(i, st_i.D2.T)
-    tail_f = np.eye(nx) - O[i] @ rs.K[i + 1]
-    U = np.zeros((dims.N + 1, nx, dims.nd))
-    F = np.zeros((dims.N + 1, nx, nx))
-    for k in range(dims.N + 1):
-        u_acc = np.zeros((nx, dims.nd))
-        f_acc = np.zeros((nx, nx))
-        for s in range(min(i, k)):
-            left = _product(prod, s + 1, k - 1, nx)
-            m_is1 = m_head @ _product(prod, s + 1, i - 1, nx)
-            v_is1 = -rs.K[i + 1] @ _product(prod, s + 1, i, nx)
-            u_acc += left @ O[s] @ m_is1.T
-            f_acc += left @ O[s] @ v_is1.T
-        if i + 1 <= k:
-            left = _product(prod, i + 1, k - 1, nx)
-            u_acc -= left @ bw_d2
-            f_acc += left @ tail_f
-        U[k] = u_acc
-        F[k] = f_acc
-    return U, F
-
-
-def closed_form_p(rs: RiccatiSolution, qdp: QdpProblem, l) -> np.ndarray:
-    """Optimal states as an explicit linear map of the direction blocks.
-
-    p_k = (E_{k-1}..E_0) l_{-1} + sum_i [U_i^k l_i + F_i^k C_i l_i], with the
-    sum taken over the support of l. Matches the forward reconstruction.
-    """
-    dims = qdp.dims
-    l_minus1, l_stages = _direction_parts(l, dims)
-    prod = _closed_loop_table(rs)
-    states = np.zeros((dims.N + 1, dims.nx))
-    for k in range(dims.N + 1):
-        states[k] = _product(prod, 0, k - 1, dims.nx) @ l_minus1
-    for i in range(dims.N):
-        li = l_stages[i]
-        if not np.any(li):
-            continue
-        U, F = materialize_influence(rs, qdp, i)
-        ci_li = qdp.stages[i].C @ li
-        for k in range(dims.N + 1):
-            states[k] += U[k] @ li + F[k] @ ci_li
-    return states
-
-
-def closed_loop_product_norm(rs: RiccatiSolution, i: int, j: int) -> float:
-    """Spectral norm of the closed-loop product E_j E_{j-1} ... E_i."""
-    if not 0 <= i <= j <= rs.dims.N - 1:
-        raise ValidationError(f"need 0 <= i <= j <= N-1, got i={i}, j={j}")
-    acc = np.eye(rs.dims.nx)
-    for idx in range(i, j + 1):
-        acc = rs.E[idx] @ acc
-    return operator_norm(acc)

@@ -47,6 +47,7 @@ from .nullspace import reduced_hessian_gamma
 from .riccati import RiccatiSolution, backward_pass, forward_solve
 
 DECAY_FLOOR = 1e-12
+LOG_CLAMP = -500.0
 
 
 @dataclass(frozen=True)
@@ -410,19 +411,30 @@ def factorize(qdp: QdpProblem, delta_fraction: float = 0.9) -> Factorization:
     delta_fraction must lie in (0, 1), which keeps the shift inside the
     certified interval (0, gamma); it is checked before any work is done.
     """
+    return _factorize(qdp, _fraction_shift(delta_fraction))
+
+
+def _fraction_shift(delta_fraction: float):
+    """gamma -> delta_fraction * gamma, once delta_fraction is checked inside (0, 1)."""
     if not 0.0 < delta_fraction < 1.0:
         raise ValidationError(f"delta_fraction must lie in (0, 1), got {delta_fraction}")
-    return _factorize(qdp, lambda gamma: delta_fraction * gamma)
+    return lambda gamma: delta_fraction * gamma
 
 
-def _factorize(qdp: QdpProblem, shift) -> Factorization:
-    """gamma, the shift delta = shift(gamma) in (0, gamma), convexify, backward pass."""
+def _certified_shift(qdp: QdpProblem, shift) -> tuple:
+    """(gamma, delta): gamma with its SOSC check, delta = shift(gamma) checked inside (0, gamma)."""
     gamma = reduced_hessian_gamma(qdp)
     if gamma <= 0.0:
         raise SoscFailed(gamma)
     delta = float(shift(gamma))
     if not 0.0 < delta < gamma:
         raise ValidationError(f"delta must lie in (0, gamma) = (0, {gamma:.6g}), got {delta}")
+    return gamma, delta
+
+
+def _factorize(qdp: QdpProblem, shift) -> Factorization:
+    """The certified shift, convexify, backward pass."""
+    gamma, delta = _certified_shift(qdp, shift)
     conv = convexify(qdp, delta)
     conv_qdp = conv.as_qdp()
     return Factorization(qdp, gamma, delta, conv, conv_qdp, backward_pass(conv_qdp))
@@ -433,9 +445,9 @@ def select_delta(qdp: QdpProblem, fraction: float = 0.9) -> float:
 
     The sufficient interval is (0, gamma); pushing the shift close to gamma
     gives the transformed problem the largest certified curvature floor, so
-    the default sits at 0.9.
+    the default sits at 0.9. Only gamma is computed.
     """
-    return factorize(qdp, fraction).delta
+    return _certified_shift(qdp, _fraction_shift(fraction))[1]
 
 
 def theoretical_constants(qdp: QdpProblem, delta: float, lambda_c: float | None = None,
@@ -468,13 +480,12 @@ def finite_difference_sensitivity(model: NldpModel, l, eps: float) -> Trajectory
     )
 
 
-def write_decay_csv(path, result: SensitivityResult, bounds: BoundsReport | None,
-                    clamp: float = -500.0) -> None:
+def write_decay_csv(path, result: SensitivityResult, bounds: BoundsReport | None) -> None:
     """Emit the per-stage decay table.
 
     Columns: k, norm_p, norm_q, log_ratio, theory_bound; one row per state
     stage (the last row has no control and leaves norm_q empty). log_ratio
-    is the natural log of the state norm, clamped from below.
+    is the natural log of the state norm, clamped from below at LOG_CLAMP.
     """
     import csv
 
@@ -486,7 +497,7 @@ def write_decay_csv(path, result: SensitivityResult, bounds: BoundsReport | None
         writer.writerow(["k", "norm_p", "norm_q", "log_ratio", "theory_bound"])
         for k in range(norms_p.size):
             log_ratio = np.log(norms_p[k]) if norms_p[k] > 0.0 else -np.inf
-            log_ratio = max(log_ratio, clamp)
+            log_ratio = max(log_ratio, LOG_CLAMP)
             bound = bounds.decay_bound(source, k) if bounds is not None else np.nan
             writer.writerow([
                 k,

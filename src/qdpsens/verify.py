@@ -1,10 +1,11 @@
-"""Independent oracles: dense saddle solves, Newton iteration, derivative checks.
+"""Independent oracles: dense saddle solves, the equivalence check, closed-form
+state maps, Newton iteration, derivative checks.
 
-Everything here trades speed for transparency: systems are assembled densely
-and factorized with partial pivoting, step acceptance is full-step Newton
-with no globalization, and derivative checks run central differences. These
-paths deliberately share no code with the recursion-based solvers they
-cross-check.
+Everything here trades speed for transparency: saddle systems are assembled
+densely and LU-factorized by one shared solve, state maps are explicit
+closed-loop products, Newton takes full steps with no globalization, and
+derivative checks run central differences. Nothing here imports the
+recursions it cross-checks; their results come in as arguments.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from ._linalg import inf_norm
-from .exceptions import SingularKkt, SolverDiverged
+from ._linalg import inf_norm, operator_norm, symmetrize
+from .exceptions import SingularKkt, SolverDiverged, ValidationError
 from .model import (
     Dims,
     NldpModel,
@@ -24,6 +25,8 @@ from .model import (
     Trajectory,
     _direction_parts,
     cost_gradient_vector,
+    eval_qdp_objective,
+    recover_multipliers,
 )
 from .nullspace import assemble_constraints, staircase_jacobian
 
@@ -36,6 +39,29 @@ FEASIBILITY_TOL = 1e-10
 # 5e-4 buys ~1e-10 roundoff at no accuracy cost on smooth models.
 FD_STEP = 1e-5
 FD_HESS_STEP = 5e-4
+
+
+def _saddle_solve(H: np.ndarray, G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve [[H, G'], [G, 0]] x = rhs by one dense LU factorization.
+
+    A failed factorization, non-finite data and non-finite output all raise
+    SingularKkt.
+    """
+    n, m = H.shape[0], G.shape[0]
+    kkt = np.zeros((n + m, n + m))
+    kkt[:n, :n] = H
+    kkt[:n, n:] = G.T
+    kkt[n:, :n] = G
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            lu, piv = scipy.linalg.lu_factor(kkt)
+            sol = scipy.linalg.lu_solve((lu, piv), rhs)
+    except (scipy.linalg.LinAlgError, ValueError) as exc:
+        raise SingularKkt(f"saddle factorization failed: {exc}") from exc
+    if not np.all(np.isfinite(sol)):
+        raise SingularKkt("saddle solve produced non-finite values")
+    return sol
 
 
 @dataclass(frozen=True)
@@ -62,21 +88,8 @@ def dense_kkt_solve(qdp: QdpProblem, l) -> KktSolution:
     _, l_stages = _direction_parts(l, dims)
     dlift = qdp.lifted_cross()
     lin = 2.0 * (dlift.T @ l_stages.reshape(-1))
-    n, m = dims.n_z, dims.n_con
-    kkt = np.zeros((n + m, n + m))
-    kkt[:n, :n] = 2.0 * H
-    kkt[:n, n:] = cs.G.T
-    kkt[n:, :n] = cs.G
-    rhs = np.concatenate([-lin, cs.y])
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu, piv = scipy.linalg.lu_factor(kkt)
-            sol = scipy.linalg.lu_solve((lu, piv), rhs)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise SingularKkt(f"saddle factorization failed: {exc}") from exc
-    if not np.all(np.isfinite(sol)):
-        raise SingularKkt("saddle solve produced non-finite values")
+    sol = _saddle_solve(2.0 * H, cs.G, np.concatenate([-lin, cs.y]))
+    n = dims.n_z
     w, lam = sol[:n], sol[n:]
     stat_terms = 2.0 * (H @ w)
     stat = stat_terms + lin + cs.G.T @ lam
@@ -94,6 +107,145 @@ def dense_kkt_solve(qdp: QdpProblem, l) -> KktSolution:
         stationarity_residual=stat_res,
         feasibility_residual=feas_res,
     )
+
+
+@dataclass(frozen=True)
+class EquivalenceReport:
+    """Cross-check of the transformed problem against the original one."""
+
+    primal_gap: float
+    objective_offset: float
+    expected_offset: float
+    offset_error: float
+    passed: bool
+
+
+def verify_equivalence(fac, l) -> EquivalenceReport:
+    """Check one ``sensitivity.Factorization`` against the dense oracle along l.
+
+    The original indefinite program goes through the dense saddle-point
+    oracle; the transformed one is read from the factorization (its
+    trajectory from ``fac.solve(l)``, its shifts from ``fac.convexified``),
+    so no recursion runs here. The two minimizers must agree, and the
+    objective difference (with the dropped l-quadratic constant restored)
+    must equal -l_{-1}' Qbar_0 l_{-1}.
+    """
+    qdp, conv = fac.problem, fac.convexified
+    kkt = dense_kkt_solve(qdp, l)
+    traj = fac.solve(l).trajectory
+
+    w_kkt = kkt.trajectory.stacked()
+    w_ric = traj.stacked()
+    scale = max(1.0, inf_norm(w_kkt))
+    primal_gap = inf_norm(w_ric - w_kkt) / scale
+
+    obj_orig = eval_qdp_objective(qdp, l, kkt.trajectory)
+    obj_conv = eval_qdp_objective(fac.convexified_qdp, l, traj) + conv.direction_constant(l)
+    offset = obj_conv - obj_orig
+
+    l_minus1, _ = _direction_parts(l, qdp.dims)
+    expected = -float(l_minus1 @ conv.Qbar[0] @ l_minus1)
+    offset_scale = max(1.0, abs(obj_orig), abs(obj_conv))
+    offset_error = abs(offset - expected) / offset_scale
+    return EquivalenceReport(
+        primal_gap=primal_gap,
+        objective_offset=offset,
+        expected_offset=expected,
+        offset_error=offset_error,
+        passed=bool(primal_gap <= 1e-8 and offset_error <= 1e-8),
+    )
+
+
+def _closed_loop_table(rs):
+    """prod[a][b] = E_b E_{b-1} ... E_a for 0 <= a <= b <= N-1."""
+    N = rs.dims.N
+    nx = rs.dims.nx
+    prod = [[None] * N for _ in range(N)]
+    for a in range(N):
+        acc = np.eye(nx)
+        for b in range(a, N):
+            acc = rs.E[b] @ acc
+            prod[a][b] = acc
+    return prod
+
+
+def _product(prod, a: int, b: int, nx: int) -> np.ndarray:
+    """E_b ... E_a with the empty-range convention of the identity."""
+    if a > b:
+        return np.eye(nx)
+    return prod[a][b]
+
+
+def materialize_influence(rs, qdp: QdpProblem, i: int):
+    """Explicit state-influence matrices (U_i^k, F_i^k) for one source stage.
+
+    rs is qdp's ``RiccatiSolution``, O_s = B_s W_s^{-1} B_s'. For all k in [0, N]:
+        U_i^k = sum_{s < min(i,k)} (E_{k-1}..E_{s+1}) O_s (M_i^{s+1})'
+                - (E_{k-1}..E_{i+1}) B_i W_i^{-1} D2_i'   [if i < k]
+        F_i^k = sum_{s < min(i,k)} (E_{k-1}..E_{s+1}) O_s (V_i^{s+1})'
+                + (E_{k-1}..E_{i+1}) (I - O_i K_{i+1})    [if i < k]
+    """
+    dims = qdp.dims
+    if not 0 <= i <= dims.N - 1:
+        raise ValidationError(f"source stage {i} outside [0, {dims.N - 1}]")
+    nx = dims.nx
+    prod = _closed_loop_table(rs)
+    st_i = qdp.stages[i]
+    O = [symmetrize(st.B @ rs.solve_W(s, st.B.T)) for s, st in enumerate(qdp.stages[:i + 1])]
+    m_head = -(st_i.D1 + st_i.D2 @ rs.P[i])
+    bw_d2 = st_i.B @ rs.solve_W(i, st_i.D2.T)
+    tail_f = np.eye(nx) - O[i] @ rs.K[i + 1]
+    U = np.zeros((dims.N + 1, nx, dims.nd))
+    F = np.zeros((dims.N + 1, nx, nx))
+    for k in range(dims.N + 1):
+        u_acc = np.zeros((nx, dims.nd))
+        f_acc = np.zeros((nx, nx))
+        for s in range(min(i, k)):
+            left = _product(prod, s + 1, k - 1, nx)
+            m_is1 = m_head @ _product(prod, s + 1, i - 1, nx)
+            v_is1 = -rs.K[i + 1] @ _product(prod, s + 1, i, nx)
+            u_acc += left @ O[s] @ m_is1.T
+            f_acc += left @ O[s] @ v_is1.T
+        if i + 1 <= k:
+            left = _product(prod, i + 1, k - 1, nx)
+            u_acc -= left @ bw_d2
+            f_acc += left @ tail_f
+        U[k] = u_acc
+        F[k] = f_acc
+    return U, F
+
+
+def closed_form_p(rs, qdp: QdpProblem, l) -> np.ndarray:
+    """Optimal states as an explicit linear map of the direction blocks.
+
+    p_k = (E_{k-1}..E_0) l_{-1} + sum_i [U_i^k l_i + F_i^k C_i l_i], with the
+    sum taken over the support of l. Matches the forward reconstruction.
+    """
+    dims = qdp.dims
+    l_minus1, l_stages = _direction_parts(l, dims)
+    prod = _closed_loop_table(rs)
+    states = np.zeros((dims.N + 1, dims.nx))
+    for k in range(dims.N + 1):
+        states[k] = _product(prod, 0, k - 1, dims.nx) @ l_minus1
+    for i in range(dims.N):
+        li = l_stages[i]
+        if not np.any(li):
+            continue
+        U, F = materialize_influence(rs, qdp, i)
+        ci_li = qdp.stages[i].C @ li
+        for k in range(dims.N + 1):
+            states[k] += U[k] @ li + F[k] @ ci_li
+    return states
+
+
+def closed_loop_product_norm(rs, i: int, j: int) -> float:
+    """Spectral norm of the closed-loop product E_j E_{j-1} ... E_i."""
+    if not 0 <= i <= j <= rs.dims.N - 1:
+        raise ValidationError(f"need 0 <= i <= j <= N-1, got i={i}, j={j}")
+    acc = np.eye(rs.dims.nx)
+    for idx in range(i, j + 1):
+        acc = rs.E[idx] @ acc
+    return operator_norm(acc)
 
 
 @dataclass(frozen=True)
@@ -137,21 +289,12 @@ def _hessian_blocks(model: NldpModel, d, traj, lam):
 
 
 def _step_system(dims: Dims, blocks, QN, G, grad, cons):
-    """Assemble and solve the plain Newton step saddle system."""
+    """Solve the plain Newton step saddle system."""
     H = scipy.linalg.block_diag(
         *[np.block([[Q, S.T], [S, R]]) for (Q, S, R) in blocks], QN
     )
-    n, m = dims.n_z, dims.n_con
-    kkt = np.zeros((n + m, n + m))
-    kkt[:n, :n] = H
-    kkt[:n, n:] = G.T
-    kkt[n:, :n] = G
-    rhs = np.concatenate([-grad, -cons])
-    lu, piv = scipy.linalg.lu_factor(kkt)
-    sol = scipy.linalg.lu_solve((lu, piv), rhs)
-    if not np.all(np.isfinite(sol)):
-        raise SingularKkt("Newton step system produced non-finite values")
-    return sol[:n], sol[n:]
+    sol = _saddle_solve(H, G, np.concatenate([-grad, -cons]))
+    return sol[:dims.n_z], sol[dims.n_z:]
 
 
 def newton_equality_solve(
@@ -246,8 +389,6 @@ def finite_diff_hessian_check(model: NldpModel) -> DerivativeCheckReport:
     dims = model.dims
     lam = model.multipliers
     if lam is None:
-        from .model import recover_multipliers
-
         lam = recover_multipliers(model)
     nx, nu, nd = dims.nx, dims.nu, dims.nd
     errors = {name: 0.0 for name in ("Q", "S", "R", "D1", "D2", "A", "B", "C", "terminal_Q")}
@@ -448,8 +589,6 @@ def random_sosc_qdp(
     B_blocks = [sampled_B() for _ in range(N)]
     S_blocks = [rng.uniform(-1.0, 1.0, size=(nu, nx)) for _ in range(N)]
     R_blocks = [indefinite_R() for _ in range(N)]
-
-    from ._linalg import operator_norm
 
     max_a = max(operator_norm(A) for A in A_blocks)
     max_s = max(operator_norm(S) for S in S_blocks)

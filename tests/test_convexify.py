@@ -191,17 +191,17 @@ class TestErrors:
 class TestEquivalence:
     def test_zero_direction(self, small_pool):
         qdp = small_pool[0]
-        conv = qs.convexify(qdp, qs.select_delta(qdp))
-        rep = qs.verify_equivalence(qdp, conv, qs.PerturbationDirection.zero(qdp.dims))
+        fac = qs.factorize(qdp)
+        rep = qs.verify_equivalence(fac, qs.PerturbationDirection.zero(qdp.dims))
         assert rep.passed
         assert rep.objective_offset == pytest.approx(0.0, abs=1e-12)
 
     def test_stage_direction_offset_vanishes(self, small_pool):
         rng = np.random.default_rng(8)
         for qdp in small_pool[:4]:
-            conv = qs.convexify(qdp, qs.select_delta(qdp))
+            fac = qs.factorize(qdp)
             l = random_direction(qdp, rng, kind="stage")
-            rep = qs.verify_equivalence(qdp, conv, l)
+            rep = qs.verify_equivalence(fac, l)
             assert rep.primal_gap <= 1e-8
             assert rep.expected_offset == 0.0
             assert rep.offset_error <= 1e-8
@@ -209,13 +209,13 @@ class TestEquivalence:
     def test_initial_direction_offset(self, small_pool):
         rng = np.random.default_rng(9)
         for qdp in small_pool[:4]:
-            conv = qs.convexify(qdp, qs.select_delta(qdp))
+            fac = qs.factorize(qdp)
             l = random_direction(qdp, rng, kind="initial")
-            rep = qs.verify_equivalence(qdp, conv, l)
+            rep = qs.verify_equivalence(fac, l)
             assert rep.primal_gap <= 1e-8
             assert rep.offset_error <= 1e-8
             assert rep.expected_offset == pytest.approx(
-                -float(l.l_minus1 @ conv.Qbar[0] @ l.l_minus1), rel=1e-12, abs=1e-12)
+                -float(l.l_minus1 @ fac.convexified.Qbar[0] @ l.l_minus1), rel=1e-12, abs=1e-12)
 
 
 def _sym(rng, n):

@@ -68,6 +68,28 @@ class TestFactorOnce:
                 qs.theoretical_constants(qdp, fac.delta))
 
 
+class TestNoUnusedFactorization:
+    def test_select_delta_computes_gamma_only(self, tracking_linear_qdp, monkeypatch):
+        counts = count_calls(monkeypatch, *FACTOR_STEPS)
+        qs.select_delta(tracking_linear_qdp)
+        assert counts == {"reduced_hessian_gamma": 1, "convexify": 0, "backward_pass": 0}
+
+    @pytest.mark.parametrize("delta", ["auto", "5.0"])
+    def test_cli_convexify_runs_no_backward_pass(self, toy_file, tmp_path, monkeypatch, delta):
+        counts = count_calls(monkeypatch, *FACTOR_STEPS)
+        result = CliRunner().invoke(
+            main, ["convexify", toy_file, "--delta", delta, "-o", str(tmp_path / "t.json")])
+        assert result.exit_code == 0, result.output
+        assert counts == {"reduced_hessian_gamma": 1, "convexify": 1, "backward_pass": 0}
+
+    def test_equivalence_reads_the_factorization(self, small_pool, monkeypatch):
+        counts = count_calls(monkeypatch, *FACTOR_STEPS)
+        qdp = small_pool[0]
+        rep = qs.verify_equivalence(qs.factorize(qdp), qs.unit_direction(qdp.dims, -1, 1))
+        assert rep.passed
+        assert counts == {"reduced_hessian_gamma": 1, "convexify": 1, "backward_pass": 1}
+
+
 class TestDeltaFraction:
     @pytest.mark.parametrize("fraction", [0.0, 1.0, 1.5, -0.1])
     def test_pipeline_rejects_fraction_outside_unit_interval(self, tracking_linear_qdp, fraction):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import qdpsens as qs
-from qdpsens.riccati import materialize_influence
+from qdpsens import materialize_influence
 
 from conftest import random_direction
 

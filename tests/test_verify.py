@@ -1,5 +1,7 @@
 """Oracle-layer tests: dense saddle solves, Newton iteration, generators."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,18 @@ class TestNewtonSolve:
         assert np.max(np.abs(sol.trajectory.states[:, 0] - expected)) <= 1e-8
         u_expected = expected[1:] - f(d[1:1 + N])
         assert np.max(np.abs(sol.trajectory.controls[:, 0] - u_expected)) <= 1e-8
+
+    def test_non_finite_hessian_raises_singular_kkt(self):
+        """A NaN in the Lagrangian Hessian is a typed solver error, not a raw ValueError."""
+        model = qs.tracking_toy_model(6, 10.0, 1.0, "linear")
+
+        def nan_hessian(k, x, u, d, lam_k):
+            Q, S, R, D1, D2 = model.lagrangian_hessian(k, x, u, d, lam_k)
+            return np.full_like(np.asarray(Q, dtype=float), np.nan), S, R, D1, D2
+
+        bad = dataclasses.replace(model, lagrangian_hessian=nan_hessian)
+        with pytest.raises(qs.SingularKkt):
+            qs.newton_equality_solve(bad, bad.d0, bad.base_trajectory())
 
     def test_divergence_reported(self):
         """A problem whose stationary point flees the quadratic model."""
