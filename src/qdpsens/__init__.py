@@ -72,7 +72,6 @@ from .sensitivity import (
     finite_difference_sensitivity,
     fit_decay_rate,
     lambda_bcs,
-    reachability_matrix,
     select_delta,
     solve_sensitivity,
     theoretical_constants,
@@ -92,6 +91,7 @@ from .verify import (
     model_with_fd_derivatives,
     newton_equality_solve,
     random_sosc_qdp,
+    reachability_matrix,
     verify_equivalence,
 )
 

@@ -126,20 +126,14 @@ def check(problem, lambda_c, t_max, as_json, n, mu1, mu2, gamma0, seed):
         gamma = reduced_hessian_gamma(qdp)
         upsilon = qdp.max_block_norm()
         sosc_ok = gamma > 0.0
-        if lambda_c is None:
-            try:
-                ctrl = auto_controllability(qdp, t_max=t_max)
-            except ControllabilityFailed:
-                ctrl = controllability(qdp, 1e-6, t_max=t_max)
-        else:
-            ctrl = controllability(qdp, lambda_c, t_max=t_max)
+        ctrl = auto_controllability(qdp, t_max) if lambda_c is None else controllability(qdp, lambda_c, t_max)
         report = {
             "gamma": gamma,
             "upsilon": upsilon,
             "sosc_pass": sosc_ok,
             "lambda_c": ctrl.lambda_c,
             "t": ctrl.t,
-            "t_stages": [t if t is not None else None for t in ctrl.t_stages],
+            "t_stages": list(ctrl.t_stages),
             "controllability_pass": ctrl.passed,
         }
         if as_json:

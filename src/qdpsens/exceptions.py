@@ -83,6 +83,11 @@ class InsufficientData(QdpSensError):
 class ControllabilityFailed(QdpSensError):
     """No admissible evolution length certifies the reachability bound."""
 
+    def __init__(self, stage: int, lambda_c: float):
+        self.stage = stage
+        self.lambda_c = lambda_c
+        super().__init__(f"no reachability window from stage {stage} clears lambda_c = {lambda_c:g}")
+
 
 class MultiplierRecoveryError(QdpSensError):
     """Least-squares multipliers leave a large stationarity residual."""

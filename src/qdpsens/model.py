@@ -335,7 +335,8 @@ def rollout_dynamics(qdp: QdpProblem, l, controls) -> Trajectory:
 def _direction_parts(l, dims: Dims):
     """Accept a PerturbationDirection or a dense (nx + N*nd,) vector."""
     if hasattr(l, "l_minus1") and hasattr(l, "l_stages"):
-        return np.asarray(l.l_minus1, dtype=float), np.asarray(l.l_stages, dtype=float)
+        return (as_vector(l.l_minus1, dims.nx, "direction block l_minus1"),
+                as_matrix(l.l_stages, dims.N, dims.nd, "direction block l_stages"))
     vec = as_vector(l, dims.n_dir, "direction")
     return vec[:dims.nx], vec[dims.nx:].reshape(dims.N, dims.nd)
 

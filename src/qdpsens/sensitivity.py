@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import max_operator_norm, sym_eigvals
+from ._linalg import max_operator_norm, symmetrize
 from .convexify import ConvexifiedQdp, convexify
 from .exceptions import (
     ControllabilityFailed,
@@ -48,6 +48,7 @@ from .riccati import RiccatiSolution, backward_pass, forward_solve
 
 DECAY_FLOOR = 1e-12
 LOG_CLAMP = -500.0
+GRAMIAN_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -199,70 +200,60 @@ class ControllabilityReport:
     passed: bool
 
 
-def reachability_matrix(qdp: QdpProblem, k: int, t: int) -> np.ndarray:
-    """Stacked reachability blocks [B_{k+t-1}, A_{k+t-1} B_{k+t-2}, ...]."""
-    dims = qdp.dims
-    if t < 1 or k < 0 or k + t > dims.N:
-        raise ValidationError(f"window [k, k+t-1] = [{k}, {k + t - 1}] outside [0, {dims.N - 1}]")
-    blocks = []
-    prefix = np.eye(dims.nx)
-    for j in range(t - 1, -1, -1):
-        blocks.append(prefix @ qdp.stages[k + j].B)
-        prefix = prefix @ qdp.stages[k + j].A
-    return np.hstack(blocks)
+def _gramian_scan(qdp: QdpProblem, t_max: int | None):
+    """Yield, for t = 1..t_max, lambda_min(Gamma_{k,t}) of every stage k whose
+    window [k, k+t-1] fits the horizon. All windows of one length are built at
+    once: Gamma_{k,1} = B_k B_k', Gamma_{k,t+1} = A_{k+t} Gamma_{k,t} A_{k+t}' + B_{k+t} B_{k+t}'.
+    """
+    N = qdp.dims.N
+    t_max = N if t_max is None else t_max
+    if not 1 <= t_max <= N:
+        raise ValidationError(f"t_max must lie in [1, {N}], got {t_max}")
+    A = np.stack([st.A for st in qdp.stages])
+    gram = bbt = np.stack([st.B @ st.B.T for st in qdp.stages])
+    for t in range(t_max):
+        if t:
+            gram = A[t:] @ gram[:-1] @ np.swapaxes(A[t:], 1, 2) + bbt[t:]
+        yield np.linalg.eigvalsh(symmetrize(gram))[:, 0]
+
+
+def _first_passing(eigs, lambda_c: float, N: int) -> ControllabilityReport:
+    """Each stage's first length clearing lambda_c; stops once every growing window has one."""
+    found = np.zeros(N, dtype=int)  # 0: none yet
+    for t, eig in enumerate(eigs, 1):
+        head = found[:eig.size]
+        head[(head == 0) & (eig >= lambda_c)] = t
+        if found[:N - t].all():
+            break
+    passed = bool(found.all())
+    return ControllabilityReport(float(lambda_c), tuple(int(t) or None for t in found),
+                                 int(found.max()) if passed else None, passed)
 
 
 def controllability(qdp: QdpProblem, lambda_c: float, t_max: int | None = None) -> ControllabilityReport:
     """Smallest per-stage horizon whose Gramian clears the floor lambda_c."""
-    dims = qdp.dims
     if lambda_c <= 0.0:
         raise ValidationError(f"lambda_c must be positive, got {lambda_c}")
-    t_max = dims.N if t_max is None else t_max
-    if not 1 <= t_max <= dims.N:
-        raise ValidationError(f"t_max must lie in [1, {dims.N}], got {t_max}")
-    t_stages: list[int | None] = []
-    for k in range(dims.N):
-        found = None
-        for t in range(1, min(t_max, dims.N - k) + 1):
-            xi = reachability_matrix(qdp, k, t)
-            if float(sym_eigvals(xi @ xi.T)[0]) >= lambda_c:
-                found = t
-                break
-        t_stages.append(found)
-    passed = all(t is not None for t in t_stages)
-    t = max(t_stages) if passed else None
-    return ControllabilityReport(
-        lambda_c=float(lambda_c), t_stages=tuple(t_stages), t=t, passed=passed
-    )
+    return _first_passing(_gramian_scan(qdp, t_max), lambda_c, qdp.dims.N)
 
 
-def auto_controllability(qdp: QdpProblem, t_max: int | None = None,
-                         floor: float = 1e-6) -> ControllabilityReport:
-    """Pick the smallest uniform horizon whose worst-stage Gramian clears floor.
+def auto_controllability(qdp: QdpProblem, t_max: int | None = None) -> ControllabilityReport:
+    """Pick the smallest uniform horizon whose worst-stage Gramian clears GRAMIAN_FLOOR.
 
-    The certified Gramian floor is then that worst-stage minimum eigenvalue,
-    which keeps the downstream constants as tight as the data allows. The
-    per-stage horizons come from the eigenvalues the scan already took, and
-    the report equals ``controllability(qdp, lambda_c, t_max)``.
+    lambda_c is that worst-stage eigenvalue, the tightest floor the data allows,
+    and the report equals ``controllability(qdp, lambda_c, t_max)``. If no
+    horizon up to t_max passes, it is ``controllability(qdp, GRAMIAN_FLOOR, t_max)``.
     """
-    dims = qdp.dims
-    t_max = dims.N if t_max is None else t_max
-    if not 1 <= t_max <= dims.N:
-        raise ValidationError(f"t_max must lie in [1, {dims.N}], got {t_max}")
-    # eigs[k][t - 1]: smallest Gramian eigenvalue of the length-t window from
-    # stage k; windows stop growing at the horizon, so eigs[k][-1] is current.
-    eigs = [[] for _ in range(dims.N)]
-    for t in range(1, t_max + 1):
-        for k in range(dims.N - t + 1):
-            xi = reachability_matrix(qdp, k, t)
-            eigs[k].append(float(sym_eigvals(xi @ xi.T)[0]))
-        worst = min(ev[-1] for ev in eigs)
-        if worst >= floor and worst > 0.0:
-            t_stages = tuple(next(w for w, e in enumerate(ev, 1) if e >= worst) for ev in eigs)
-            return ControllabilityReport(float(worst), t_stages, max(t_stages), True)
-    raise ControllabilityFailed(
-        f"no uniform horizon up to {t_max} clears the Gramian floor {floor:g}"
-    )
+    N = qdp.dims.N
+    scanned, latest = [], np.empty(N)  # latest: each stage's value at its longest window
+    for eig in _gramian_scan(qdp, t_max):
+        if eig[-1] < GRAMIAN_FLOOR:  # this window just reached the horizon: it never grows
+            break
+        scanned.append(eig)
+        latest[:eig.size] = eig
+        if latest.min() >= GRAMIAN_FLOOR:
+            return _first_passing(scanned, float(latest.min()), N)
+    return controllability(qdp, GRAMIAN_FLOOR, t_max)
 
 
 def lambda_bcs(beta_S: float, beta_B: float, beta_C: float) -> float:
@@ -324,9 +315,13 @@ class Factorization:
     convexified_qdp: QdpProblem
     riccati: RiccatiSolution
 
+    def trajectory(self, l) -> Trajectory:
+        """Derivative trajectory along l: the forward solve alone."""
+        return forward_solve(self.riccati, self.convexified_qdp, l)
+
     def solve(self, l) -> SensitivityResult:
         """Derivative trajectory along l, its norms, and the decay fit from its source stage."""
-        traj = forward_solve(self.riccati, self.convexified_qdp, l)
+        traj = self.trajectory(l)
         norm_p = traj.state_norms()
         source = getattr(l, "source_stage", None)
         rho_fit = intercept = None
@@ -349,16 +344,10 @@ class Factorization:
         this problem; the decay rate rho always lies in (0, 1).
         """
         qdp, gamma, delta = self.problem, self.gamma, self.delta
-        if lambda_c is None:
-            ctrl = auto_controllability(qdp, t_max=t_max)
-        else:
-            ctrl = controllability(qdp, lambda_c, t_max=t_max)
-            if not ctrl.passed:
-                raise ControllabilityFailed(
-                    f"reachability Gramians do not clear lambda_c = {lambda_c:g} "
-                    f"within the allowed horizon"
-                )
-        t, lam_c = int(ctrl.t), ctrl.lambda_c
+        ctrl = auto_controllability(qdp, t_max) if lambda_c is None else controllability(qdp, lambda_c, t_max)
+        if not ctrl.passed:
+            raise ControllabilityFailed(ctrl.t_stages.index(None), ctrl.lambda_c)
+        t, lam_c = ctrl.t, ctrl.lambda_c
 
         upsilon = qdp.max_block_norm()
         psi = float(sum(upsilon ** j for j in range(1, t + 1)))

@@ -1,11 +1,11 @@
 """Independent oracles: dense saddle solves, the equivalence check, closed-form
-state maps, Newton iteration, derivative checks.
+state maps, explicit reachability windows, Newton iteration, derivative checks.
 
 Everything here trades speed for transparency: saddle systems are assembled
-densely and LU-factorized by one shared solve, state maps are explicit
-closed-loop products, Newton takes full steps with no globalization, and
-derivative checks run central differences. Nothing here imports the
-recursions it cross-checks; their results come in as arguments.
+densely and LU-factorized by one shared solve, state maps and reachability
+windows are explicit products, Newton takes full steps with no
+globalization, and derivative checks run central differences. Nothing here
+imports the recursions it cross-checks; their results come in as arguments.
 """
 
 from __future__ import annotations
@@ -125,14 +125,14 @@ def verify_equivalence(fac, l) -> EquivalenceReport:
 
     The original indefinite program goes through the dense saddle-point
     oracle; the transformed one is read from the factorization (its
-    trajectory from ``fac.solve(l)``, its shifts from ``fac.convexified``),
+    trajectory from ``fac.trajectory(l)``, its shifts from ``fac.convexified``),
     so no recursion runs here. The two minimizers must agree, and the
     objective difference (with the dropped l-quadratic constant restored)
     must equal -l_{-1}' Qbar_0 l_{-1}.
     """
     qdp, conv = fac.problem, fac.convexified
     kkt = dense_kkt_solve(qdp, l)
-    traj = fac.solve(l).trajectory
+    traj = fac.trajectory(l)
 
     w_kkt = kkt.trajectory.stacked()
     w_ric = traj.stacked()
@@ -246,6 +246,19 @@ def closed_loop_product_norm(rs, i: int, j: int) -> float:
     for idx in range(i, j + 1):
         acc = rs.E[idx] @ acc
     return operator_norm(acc)
+
+
+def reachability_matrix(qdp: QdpProblem, k: int, t: int) -> np.ndarray:
+    """Stacked reachability blocks [B_{k+t-1}, A_{k+t-1} B_{k+t-2}, ...]."""
+    dims = qdp.dims
+    if t < 1 or k < 0 or k + t > dims.N:
+        raise ValidationError(f"window [k, k+t-1] = [{k}, {k + t - 1}] outside [0, {dims.N - 1}]")
+    blocks = []
+    prefix = np.eye(dims.nx)
+    for j in range(t - 1, -1, -1):
+        blocks.append(prefix @ qdp.stages[k + j].B)
+        prefix = prefix @ qdp.stages[k + j].A
+    return np.hstack(blocks)
 
 
 @dataclass(frozen=True)

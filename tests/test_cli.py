@@ -42,6 +42,20 @@ class TestCheck:
         result = runner.invoke(main, ["check", str(path)])
         assert result.exit_code == 1
 
+    def test_underactuated_file_reports_failing_reachability(self, runner, tmp_path):
+        qdp = qs.random_sosc_qdp(1, N=12, nx=4, nu=2, nd=2)
+        path = tmp_path / "underactuated.json"
+        qs.save_qdp(qdp, path)
+        result = runner.invoke(main, ["check", str(path), "--json"])
+        assert result.exit_code == 1
+        report = json.loads(result.output)
+        assert report["sosc_pass"] and not report["controllability_pass"]
+        assert report["lambda_c"] == 1e-6 and report["t"] is None
+        assert report["t_stages"][-1] is None
+        result = runner.invoke(main, ["sensitivity", str(path), "--json"])
+        assert result.exit_code == 1
+        assert "stage 11" in result.output
+
     def test_malformed_json(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -89,6 +89,15 @@ class TestNoUnusedFactorization:
         assert rep.passed
         assert counts == {"reduced_hessian_gamma": 1, "convexify": 1, "backward_pass": 1}
 
+    def test_equivalence_fits_no_decay_rate(self, small_pool, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("decay rate fitted")
+
+        monkeypatch.setattr(qs.sensitivity, "fit_decay_rate", no_fit)
+        qdp = small_pool[0]
+        l = qs.unit_direction(qdp.dims, qdp.dims.N // 2, 1)
+        assert qs.verify_equivalence(qs.factorize(qdp), l).passed
+
 
 class TestDeltaFraction:
     @pytest.mark.parametrize("fraction", [0.0, 1.0, 1.5, -0.1])

@@ -343,3 +343,25 @@ class TestTrajectory:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(qs.ValidationError):
             qs.Trajectory(states=np.zeros((3, 1)), controls=np.zeros((3, 1)))
+
+
+class TestDirectionShapes:
+    @pytest.mark.parametrize("block", ["l_minus1", "l_stages"])
+    def test_mis_shaped_block_rejected(self, block):
+        """One row or entry too many is named, not dropped or left to numpy."""
+        qdp = qs.random_sosc_qdp(3, N=6, nx=2, nu=2, nd=2)
+        dims = qdp.dims
+        parts = {"l_minus1": np.zeros(dims.nx), "l_stages": np.zeros((dims.N, dims.nd))}
+        parts[block] = np.ones((dims.N + 1, dims.nd)) if block == "l_stages" else np.ones(dims.nx + 1)
+        l = qs.PerturbationDirection(**parts)
+        fac = qs.factorize(qdp)
+        entry_points = [
+            lambda: qs.eval_qdp_objective(qdp, l, qs.Trajectory.zeros(dims)),
+            lambda: fac.convexified.direction_constant(l),
+            lambda: qs.rollout_dynamics(qdp, l, np.zeros((dims.N, dims.nu))),
+            lambda: fac.solve(l),
+            lambda: qs.dense_kkt_solve(qdp, l),
+        ]
+        for call in entry_points:
+            with pytest.raises(qs.ValidationError, match=block):
+                call()

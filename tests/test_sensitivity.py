@@ -6,8 +6,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qdpsens as qs
+from qdpsens.verify import _random_orthogonal
 
 from conftest import random_direction
+
+
+def _change_basis(qdp, T, U):
+    """qdp in coordinates p_k = T_k p~_k, q_k = U_k q~_k (p~_0 = T_0^{-1} l_{-1})."""
+    stages = []
+    for k, blk in enumerate(qdp.stages):
+        inv_next = np.linalg.inv(T[k + 1])
+        stages.append({
+            "Q": T[k].T @ blk.Q @ T[k], "R": U[k].T @ blk.R @ U[k], "S": U[k].T @ blk.S @ T[k],
+            "D1": blk.D1 @ T[k], "D2": blk.D2 @ U[k],
+            "A": inv_next @ blk.A @ T[k], "B": inv_next @ blk.B @ U[k], "C": inv_next @ blk.C})
+    return qs.QdpProblem(qdp.dims, stages, T[-1].T @ qdp.terminal_Q @ T[-1])
 
 
 class TestUnitDirection:
@@ -105,6 +118,38 @@ class TestSolveSensitivity:
         got = qs.solve_sensitivity(scaled, l).trajectory.stacked()
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 200), nu=st.integers(1, 3))
+    @example(seed=4, nu=2)
+    def test_invariant_under_change_of_basis(self, seed, nu):
+        """In coordinates p_k = T_k p~_k, q_k = U_k q~_k the sensitivity maps back
+        to the original; orthogonal T, U also leave gamma and lambda_c alone."""
+        qdp = qs.random_sosc_qdp(seed, N=int(seed % 9) + 3, nx=3, nu=nu, nd=2)
+        N, nx = qdp.dims.N, qdp.dims.nx
+        rng = np.random.default_rng(seed)
+
+        def conditioned(n):
+            return _random_orthogonal(rng, n) @ np.diag(rng.uniform(0.5, 2.0, n)) @ _random_orthogonal(rng, n)
+
+        T = [conditioned(nx) for _ in range(N + 1)]
+        U = [conditioned(nu) for _ in range(N)]
+        l = random_direction(qdp, rng)
+        l_new = qs.PerturbationDirection(np.linalg.solve(T[0], l.l_minus1), l.l_stages)
+        ref = qs.solve_sensitivity(qdp, l).trajectory
+        got = qs.solve_sensitivity(_change_basis(qdp, T, U), l_new).trajectory
+        states = np.einsum("kij,kj->ki", np.array(T), got.states)
+        controls = np.einsum("kij,kj->ki", np.array(U), got.controls)
+        back = qs.Trajectory(states, controls).stacked()
+        assert np.max(np.abs(back - ref.stacked())) <= 1e-9 * np.max(np.abs(ref.stacked()))
+
+        To, Uo = _random_orthogonal(rng, nx), _random_orthogonal(rng, nu)
+        rotated = _change_basis(qdp, [To] * (N + 1), [Uo] * N)
+        assert qs.reduced_hessian_gamma(rotated) == pytest.approx(
+            qs.reduced_hessian_gamma(qdp), rel=1e-10, abs=0.0)
+        a, b = qs.auto_controllability(qdp), qs.auto_controllability(rotated)
+        assert a.passed == b.passed
+        assert b.lambda_c == pytest.approx(a.lambda_c, rel=1e-10, abs=0.0)
+
     def test_sosc_failure_raised(self):
         dims = qs.Dims(N=2, nx=1, nu=1, nd=1)
         qdp = qs.QdpProblem.constant(
@@ -181,27 +226,60 @@ class TestAutoControllability:
         assert rep.t == 2
         assert rep.t_stages == (2, 2, 2, 2, 2, 1)
 
-    def test_one_reachability_window_per_stage_and_length(self, square_pool, monkeypatch):
-        """Re-building every window for the final report would double the calls."""
-        calls = []
-        reachability_matrix = qs.reachability_matrix
+    def test_scan_takes_only_the_lengths_it_needs(self, monkeypatch):
+        """Both readers stop the stacked scan as soon as their answer is fixed and
+        build no explicit reachability window."""
+        lengths = []
+        scan = qs.sensitivity._gramian_scan
 
-        def counting(qdp, k, t):
-            calls.append((k, t))
-            return reachability_matrix(qdp, k, t)
+        def counting(qdp, t_max):
+            for t, eig in enumerate(scan(qdp, t_max), 1):
+                lengths.append(t)
+                yield eig
 
-        monkeypatch.setattr(qs.sensitivity, "reachability_matrix", counting)
-        for qdp in [*square_pool[:3], _two_step_qdp()]:
-            calls.clear()
-            rep = qs.auto_controllability(qdp)
-            N = qdp.dims.N
-            scanned = [(k, t) for k in range(N) for t in range(1, min(rep.t, N - k) + 1)]
-            assert sorted(calls) == sorted(scanned)
+        def no_window(*args):
+            raise AssertionError("explicit reachability window built")
+
+        monkeypatch.setattr(qs.sensitivity, "_gramian_scan", counting)
+        monkeypatch.setattr(qs.verify, "reachability_matrix", no_window)
+        assert not hasattr(qs.sensitivity, "reachability_matrix")
+        for reader in (qs.auto_controllability, lambda qdp: qs.controllability(qdp, 0.5)):
+            lengths.clear()
+            assert reader(_two_step_qdp()).passed
+            assert lengths == [1, 2]
+        for seed in range(3):
+            # The last stage's only window B_{N-1} has rank nu < nx: one step
+            # decides, two more give the fixed-floor report.
+            lengths.clear()
+            rep = qs.auto_controllability(qs.random_sosc_qdp(seed, N=40, nx=4, nu=2, nd=2))
+            assert not rep.passed and rep.t_stages[-1] is None
+            assert len(lengths) <= 3
 
     def test_horizon_bounds_validated(self, tracking_linear_qdp):
         for t_max in (0, tracking_linear_qdp.dims.N + 1):
             with pytest.raises(qs.ValidationError):
                 qs.auto_controllability(tracking_linear_qdp, t_max=t_max)
+
+
+class TestGramianScan:
+    def test_matches_explicit_windows(self, small_pool, square_pool):
+        nu_lt_nx = [qs.random_sosc_qdp(seed, N=9, nx=4, nu=2, nd=2) for seed in range(4)]
+        for qdp in [*small_pool, *square_pool, _two_step_qdp(), *nu_lt_nx]:
+            N = qdp.dims.N
+            for t, eig in enumerate(qs.sensitivity._gramian_scan(qdp, None), 1):
+                assert eig.shape == (N - t + 1,)
+                for k in range(N - t + 1):
+                    xi = qs.reachability_matrix(qdp, k, t)
+                    ref = np.linalg.eigvalsh(xi @ xi.T)
+                    assert abs(eig[k] - ref[0]) <= 1e-12 * max(1.0, ref[-1])
+
+    def test_failing_auto_report_is_the_fixed_floor_report(self):
+        for seed in range(3):
+            qdp = qs.random_sosc_qdp(seed, N=12, nx=4, nu=2, nd=2)
+            for t_max in (None, 1, 2):
+                rep = qs.auto_controllability(qdp, t_max=t_max)
+                assert rep == qs.controllability(qdp, qs.sensitivity.GRAMIAN_FLOOR, t_max=t_max)
+                assert not rep.passed
 
 
 class TestTheoreticalConstants:
@@ -251,6 +329,22 @@ class TestTheoreticalConstants:
             A=[[1.0]], B=[[0.0]], C=[[1.0]], terminal_Q=[[1.0]])
         with pytest.raises(qs.ControllabilityFailed):
             qs.theoretical_constants(qdp, 0.5)
+
+    def test_controllability_failure_names_the_stage(self):
+        dims = qs.Dims(N=4, nx=1, nu=1, nd=1)
+        unreachable = qs.QdpProblem.constant(
+            dims, Q=[[1.0]], R=[[1.0]], S=[[0.0]], D1=[[0.0]], D2=[[0.0]],
+            A=[[1.0]], B=[[0.0]], C=[[1.0]], terminal_Q=[[1.0]])
+        with pytest.raises(qs.ControllabilityFailed) as info:
+            qs.theoretical_constants(unreachable, 0.5)
+        assert (info.value.stage, info.value.lambda_c) == (0, 1e-6)
+        assert "stage 0" in str(info.value) and "1e-06" in str(info.value)
+        qdp = qs.random_sosc_qdp(1, N=12, nx=4, nu=2, nd=2)
+        delta = 0.5 * qs.reduced_hessian_gamma(qdp)
+        for lambda_c in (None, 1e-6):
+            with pytest.raises(qs.ControllabilityFailed) as info:
+                qs.theoretical_constants(qdp, delta, lambda_c=lambda_c)
+            assert (info.value.stage, info.value.lambda_c) == (qdp.dims.N - 1, 1e-6)
 
 
 class TestLambdaBcs:
