@@ -371,6 +371,8 @@ def verify_cmd(problem, trials, as_json, n, mu1, mu2, gamma0, seed):
     """Cross-check the recursion pipeline against the dense saddle oracle."""
 
     def run():
+        if trials < 1:
+            raise ValidationError(f"--trials must be >= 1, got {trials}")
         rng = np.random.default_rng(seed)
         worst = 0.0
         if problem is not None:

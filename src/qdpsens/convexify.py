@@ -129,7 +129,7 @@ def convexify(qdp: QdpProblem, delta: float) -> ConvexifiedQdp:
     terminal_Qt = delta * eye
     qbar = [None] * (dims.N + 1)
     qbar[dims.N] = symmetrize(qdp.terminal_Q - terminal_Qt)
-    stages = [None] * dims.N
+    Qt, Rt, St = [None] * dims.N, [None] * dims.N, [None] * dims.N
 
     def check_Rt(k: int, fact: SymSolve) -> None:
         if fact.min_abs_eig <= INVERTIBILITY_TOL * fact.max_abs_eig:
@@ -138,17 +138,20 @@ def convexify(qdp: QdpProblem, delta: float) -> ConvexifiedQdp:
             raise NotPositiveDefinite(k, fact.min_eig)
 
     for k in range(dims.N - 1, -1, -1):
-        st = qdp.stages[k]
-        qb = qbar[k + 1]
-        fact, St, P, X = _stage_step(k, st, qb, check_Rt)
-        Qt = symmetrize(-St.T @ P) + delta * eye
-        qbar[k] = symmetrize(symmetrize(X) - Qt)
-        stages[k] = ConvexifiedStage(Qt=Qt, Rt=fact.mat, St=St, Dt1=st.D1 + st.C.T @ qb @ st.A,
-                                     Dt2=st.D2 + st.C.T @ qb @ st.B)
+        fact, St[k], P, X = _stage_step(k, qdp.stages[k], qbar[k + 1], check_Rt)
+        Rt[k] = fact.mat
+        Qt[k] = symmetrize(-St[k].T @ P) + delta * eye
+        qbar[k] = symmetrize(symmetrize(X) - Qt[k])
+
+    blocks = qdp.blocks
+    C_qbar = np.swapaxes(blocks["C"], 1, 2) @ np.array(qbar[1:])
+    Dt1 = blocks["D1"] + C_qbar @ blocks["A"]
+    Dt2 = blocks["D2"] + C_qbar @ blocks["B"]
+    stages = tuple(map(ConvexifiedStage, Qt, Rt, St, Dt1, Dt2))
     return ConvexifiedQdp(
         dims=dims,
         delta=float(delta),
-        stages=tuple(stages),
+        stages=stages,
         terminal_Qt=terminal_Qt,
         Qbar=tuple(qbar),
         semidefinite=(delta == 0.0),

@@ -1,7 +1,8 @@
 """Stagewise problem data: nonlinear models, quadratic stage blocks, trajectories.
 
 A stagewise quadratic program ("QDP") over states p_0..p_N and controls
-q_0..q_{N-1} is stored as dense per-stage blocks
+q_0..q_{N-1} is stored as dense per-stage blocks, kept as one read-only
+stack over the stages per block name,
 
     cost   sum_k [p_k; q_k; l_k]' [[Q_k, S_k', D1_k'],
                                    [S_k, R_k, D2_k'],
@@ -21,6 +22,7 @@ pure function of its inputs, so concurrent use is safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Callable, Sequence
 
 import numpy as np
@@ -38,9 +40,16 @@ def _freeze(arr: Array) -> Array:
     return arr
 
 
+def _as_float_array(value, name: str) -> Array:
+    try:
+        return np.array(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name}: not a numeric array ({exc})") from exc
+
+
 def as_matrix(value, rows: int, cols: int, name: str) -> Array:
     """Validate and copy a dense (rows, cols) float matrix."""
-    mat = np.array(value, dtype=float)
+    mat = _as_float_array(value, name)
     if mat.shape != (rows, cols):
         raise ValidationError(
             f"{name}: expected shape {(rows, cols)}, got {mat.shape}"
@@ -51,7 +60,7 @@ def as_matrix(value, rows: int, cols: int, name: str) -> Array:
 
 
 def as_vector(value, size: int, name: str) -> Array:
-    vec = np.array(value, dtype=float).reshape(-1)
+    vec = _as_float_array(value, name).reshape(-1)
     if vec.shape != (size,):
         raise ValidationError(f"{name}: expected length {size}, got {vec.shape}")
     if not np.all(np.isfinite(vec)):
@@ -65,13 +74,7 @@ def as_symmetric(value, size: int, name: str) -> Array:
     Asymmetry beyond SYMMETRY_TOL signals a modeling bug and is rejected
     rather than silently averaged away.
     """
-    mat = np.array(value, dtype=float)
-    if mat.shape != (size, size):
-        raise ValidationError(
-            f"{name}: expected shape {(size, size)}, got {mat.shape}"
-        )
-    if not np.all(np.isfinite(mat)):
-        raise ValidationError(f"{name}: non-finite entries")
+    mat = as_matrix(value, size, size, name)
     skew = asymmetry(mat)
     if skew > SYMMETRY_TOL:
         raise ValidationError(
@@ -114,7 +117,7 @@ class Dims:
 
 @dataclass(frozen=True)
 class QdpStage:
-    """Validated blocks of one stage. Constructed through QdpProblem."""
+    """Blocks of one stage: read-only views into the QdpProblem block stacks."""
 
     Q: Array
     R: Array
@@ -125,13 +128,64 @@ class QdpStage:
     B: Array
     C: Array
 
-    def hessian(self) -> Array:
-        """Stage Hessian [[Q, S'], [S, R]]."""
-        return np.block([[self.Q, self.S.T], [self.S, self.R]])
+
+def _block_shapes(dims: Dims) -> dict:
+    """Shape of every stage block, in validation order (also the field order of QdpStage)."""
+    nx, nu, nd = dims.nx, dims.nu, dims.nd
+    return {"Q": (nx, nx), "R": (nu, nu), "S": (nu, nx), "D1": (nd, nx), "D2": (nd, nu),
+            "A": (nx, nx), "B": (nx, nu), "C": (nx, nd)}
+
+
+_SYMMETRIC_BLOCKS = ("Q", "R")
+
+
+def _raise_first_invalid(dims: Dims, stages) -> None:
+    """Validate block by block, stage-major, so the error names the first bad block."""
+    for k, blocks in enumerate(stages):
+        for name, (rows, cols) in _block_shapes(dims).items():
+            if name in _SYMMETRIC_BLOCKS:
+                as_symmetric(blocks[name], rows, f"{name}[{k}]")
+            else:
+                as_matrix(blocks[name], rows, cols, f"{name}[{k}]")
+    raise ValidationError("stage blocks failed validation")
+
+
+def _stack_blocks(dims: Dims, stages) -> dict:
+    """One read-only (N, rows, cols) stack per block name, validated and symmetrized at once."""
+    shapes = _block_shapes(dims)
+    try:
+        stacks = {name: np.array([blocks[name] for blocks in stages], dtype=float)
+                  for name in shapes}
+        valid = (all(stacks[name].shape == (dims.N, *shape) and np.isfinite(stacks[name]).all()
+                     for name, shape in shapes.items())
+                 and all(asymmetry(stacks[name]) <= SYMMETRY_TOL for name in _SYMMETRIC_BLOCKS))
+    except (KeyError, TypeError, ValueError):
+        valid = False
+    if not valid:
+        _raise_first_invalid(dims, stages)
+    for name in _SYMMETRIC_BLOCKS:
+        stacks[name] = symmetrize(stacks[name])
+    return {name: _freeze(stack) for name, stack in stacks.items()}
+
+
+def _stage_hessians(Q: Array, R: Array, S: Array) -> Array:
+    """[[Q, S'], [S, R]] for one stage or, on stacks, for every stage at once."""
+    nx = Q.shape[-1]
+    width = nx + R.shape[-1]
+    out = np.empty(Q.shape[:-2] + (width, width))
+    out[..., :nx, :nx] = Q
+    out[..., :nx, nx:] = np.swapaxes(S, -1, -2)
+    out[..., nx:, :nx] = S
+    out[..., nx:, nx:] = R
+    return out
 
 
 class QdpProblem:
-    """Dense stagewise quadratic program data with enforced symmetry."""
+    """Dense stagewise quadratic program data with enforced symmetry.
+
+    Each block name is stored once as a read-only stack over the stages
+    (``blocks``); ``stages[k]`` holds views into those stacks.
+    """
 
     def __init__(self, dims: Dims, stages: Sequence, terminal_Q):
         if len(stages) != dims.N:
@@ -139,25 +193,15 @@ class QdpProblem:
                 f"expected {dims.N} stages, got {len(stages)}"
             )
         self.dims = dims
-        nx, nu, nd = dims.nx, dims.nu, dims.nd
-        built = []
-        for k, blocks in enumerate(stages):
-            if isinstance(blocks, QdpStage):
-                blocks = blocks.__dict__
-            built.append(
-                QdpStage(
-                    Q=as_symmetric(blocks["Q"], nx, f"Q[{k}]"),
-                    R=as_symmetric(blocks["R"], nu, f"R[{k}]"),
-                    S=as_matrix(blocks["S"], nu, nx, f"S[{k}]"),
-                    D1=as_matrix(blocks["D1"], nd, nx, f"D1[{k}]"),
-                    D2=as_matrix(blocks["D2"], nd, nu, f"D2[{k}]"),
-                    A=as_matrix(blocks["A"], nx, nx, f"A[{k}]"),
-                    B=as_matrix(blocks["B"], nx, nu, f"B[{k}]"),
-                    C=as_matrix(blocks["C"], nx, nd, f"C[{k}]"),
-                )
-            )
-        self.stages = tuple(built)
-        self.terminal_Q = as_symmetric(terminal_Q, nx, "terminal_Q")
+        stages = [blocks.__dict__ if isinstance(blocks, QdpStage) else blocks for blocks in stages]
+        self._blocks = _stack_blocks(dims, stages)
+        self.stages = tuple(map(QdpStage, *self._blocks.values()))
+        self.terminal_Q = as_symmetric(terminal_Q, dims.nx, "terminal_Q")
+
+    @property
+    def blocks(self) -> MappingProxyType:
+        """Read-only mapping from block name (Q, R, S, D1, D2, A, B, C) to its (N, rows, cols) stack."""
+        return MappingProxyType(self._blocks)
 
     @classmethod
     def constant(cls, dims: Dims, *, Q, R, S, D1, D2, A, B, C, terminal_Q) -> "QdpProblem":
@@ -165,19 +209,26 @@ class QdpProblem:
         stage = {"Q": Q, "R": R, "S": S, "D1": D1, "D2": D2, "A": A, "B": B, "C": C}
         return cls(dims, [dict(stage) for _ in range(dims.N)], terminal_Q)
 
+    def stage_hessians(self) -> Array:
+        """Stage Hessians [[Q_k, S_k'], [S_k, R_k]] as one (N, nx + nu, nx + nu) stack."""
+        return _stage_hessians(self._blocks["Q"], self._blocks["R"], self._blocks["S"])
+
     def stage_hessian(self, k: int) -> Array:
         if k == self.dims.N:
             return self.terminal_Q.copy()
-        return self.stages[k].hessian()
+        st = self.stages[k]
+        return _stage_hessians(st.Q, st.R, st.S)
 
     def full_hessian(self) -> Array:
         """Block-diagonal Hessian over (p_0, q_0, ..., p_N), shape (n_z, n_z)."""
-        import scipy.linalg
-
-        return scipy.linalg.block_diag(
-            *[self.stages[k].hessian() for k in range(self.dims.N)],
-            self.terminal_Q,
-        )
+        dims = self.dims
+        width = dims.nx + dims.nu
+        body = dims.N * width
+        out = np.zeros((dims.n_z, dims.n_z))
+        diag = np.arange(dims.N)
+        out[:body, :body].reshape(dims.N, width, dims.N, width)[diag, :, diag, :] = self.stage_hessians()
+        out[body:, body:] = self.terminal_Q
+        return out
 
     def lifted_cross(self) -> Array:
         """Cross-term matrix mapping the primal vector to stage directions.
@@ -198,9 +249,7 @@ class QdpProblem:
 
     def max_block_norm(self) -> float:
         """Largest spectral norm over all stored blocks (data bound)."""
-        stacks = [[getattr(st, name) for st in self.stages]
-                  for name in ("Q", "R", "S", "D1", "D2", "A", "B", "C")]
-        return max(max_operator_norm(blocks) for blocks in [[self.terminal_Q], *stacks])
+        return max(max_operator_norm(stack) for stack in [[self.terminal_Q], *self._blocks.values()])
 
     def to_json_dict(self) -> dict:
         def rows(mat):
@@ -233,12 +282,16 @@ class QdpProblem:
     def from_json_dict(cls, data: dict) -> "QdpProblem":
         try:
             dd = data["dims"]
-            dims = Dims(N=int(dd["N"]), nx=int(dd["nx"]), nu=int(dd["nu"]), nd=int(dd["nd"]))
+            sizes = [dd[name] for name in ("N", "nx", "nu", "nd")]
             stages = data["stages"]
             terminal = data["terminal_Q"]
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed problem JSON: missing field {exc}") from exc
-        return cls(dims, stages, terminal)
+        try:
+            sizes = [int(size) for size in sizes]
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"dims: not an integer ({exc})") from exc
+        return cls(Dims(*sizes), stages, terminal)
 
 
 def save_qdp(qdp: QdpProblem, path) -> None:

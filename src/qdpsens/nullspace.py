@@ -67,7 +67,7 @@ def assemble_constraints(qdp: QdpProblem, l) -> ConstraintSystem:
     built (``nullspace_basis``).
     """
     dims = qdp.dims
-    G = staircase_jacobian(dims, [st.A for st in qdp.stages], [st.B for st in qdp.stages])
+    G = staircase_jacobian(dims, qdp.blocks["A"], qdp.blocks["B"])
     l_minus1, l_stages = _direction_parts(l, dims)
     y = np.zeros(dims.n_con)
     y[:dims.nx] = l_minus1

@@ -1,11 +1,13 @@
 """Linear-time recursions: backward pass, batched forward reconstruction, cost-to-go.
 
 The backward pass produces the cost-to-go matrices K_k together with the
-control weights W_k = R_k + B_k' K_{k+1} B_k, feedback gains
-P_k = -W_k^{-1} (B_k' K_{k+1} A_k + S_k) and closed-loop transitions
-E_k = A_k + B_k P_k, by one stage step that ``convexify`` shares. Every
-function here does a fixed amount of work per stage; the closed-form state
-maps that check these recursions are oracles and live in ``verify``.
+control weights W_k = R_k + B_k' K_{k+1} B_k and feedback gains
+P_k = -W_k^{-1} (B_k' K_{k+1} A_k + S_k) by one stage step that
+``convexify`` shares; the closed-loop transitions E_k = A_k + B_k P_k,
+which no later stage step needs, are formed after the loop over the block
+stacks. Every function here does a fixed amount of work per stage; the
+closed-form state maps that check these recursions are oracles and live in
+``verify``.
 
 Every direction shares that one factorization, and the minimizer is linear
 in the direction, so a block of m directions (the columns of L_k, nd x m)
@@ -80,7 +82,7 @@ def backward_pass(qdp: QdpProblem) -> RiccatiSolution:
     """
     dims = qdp.dims
     K = [None] * (dims.N + 1)
-    P, E, solvers = [None] * dims.N, [None] * dims.N, [None] * dims.N
+    P, solvers = [None] * dims.N, [None] * dims.N
     K[dims.N] = qdp.terminal_Q.copy()
 
     def check_W(k: int, fact: SymSolve) -> None:
@@ -88,17 +90,16 @@ def backward_pass(qdp: QdpProblem) -> RiccatiSolution:
             raise IndefiniteW(k, fact.min_eig)
 
     for k in range(dims.N - 1, -1, -1):
-        st = qdp.stages[k]
-        solvers[k], G, P[k], X = _stage_step(k, st, K[k + 1], check_W)
+        solvers[k], G, P[k], X = _stage_step(k, qdp.stages[k], K[k + 1], check_W)
         K[k] = symmetrize(X + G.T @ P[k])
-        E[k] = st.A + st.B @ P[k]
 
-    worst = 0.0
-    for k in range(dims.N):
-        Hk = qdp.stages[k].hessian()
-        stack = np.vstack([np.eye(dims.nx), P[k]])
-        rebuilt = E[k].T @ K[k + 1] @ E[k] + stack.T @ Hk @ stack
-        worst = max(worst, inf_norm(K[k] - rebuilt), asymmetry(K[k]))
+    blocks = qdp.blocks
+    P_stack, K_stack = np.array(P), np.array(K)
+    E = blocks["A"] + blocks["B"] @ P_stack
+    basis = np.concatenate([np.broadcast_to(np.eye(dims.nx), (dims.N, dims.nx, dims.nx)), P_stack], axis=1)
+    rebuilt = (np.swapaxes(E, 1, 2) @ K_stack[1:] @ E
+               + np.swapaxes(basis, 1, 2) @ qdp.stage_hessians() @ basis)
+    worst = max(inf_norm(K_stack[:-1] - rebuilt), asymmetry(K_stack[:-1]))
     return RiccatiSolution(
         dims=dims,
         K=tuple(K),

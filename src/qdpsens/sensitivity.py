@@ -209,8 +209,8 @@ def _gramian_scan(qdp: QdpProblem, t_max: int | None):
     t_max = N if t_max is None else t_max
     if not 1 <= t_max <= N:
         raise ValidationError(f"t_max must lie in [1, {N}], got {t_max}")
-    A = np.stack([st.A for st in qdp.stages])
-    gram = bbt = np.stack([st.B @ st.B.T for st in qdp.stages])
+    A, B = qdp.blocks["A"], qdp.blocks["B"]
+    gram = bbt = B @ np.swapaxes(B, 1, 2)
     for t in range(t_max):
         if t:
             gram = A[t:] @ gram[:-1] @ np.swapaxes(A[t:], 1, 2) + bbt[t:]

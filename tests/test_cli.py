@@ -73,6 +73,25 @@ class TestCheck:
         assert result.exit_code == 3
         assert "malformed" in result.output
 
+    @pytest.mark.parametrize("fault, named", [
+        ("string entry", "Q[0]"),
+        ("ragged block", "Q[0]"),
+        ("non-integer dims", "dims"),
+    ])
+    def test_unconvertible_entries_exit_3(self, runner, tmp_path, fault, named):
+        data = qs.random_sosc_qdp(1, N=2, nx=2, nu=1, nd=1).to_json_dict()
+        if fault == "string entry":
+            data["stages"][0]["Q"][0][0] = "a"
+        elif fault == "ragged block":
+            data["stages"][0]["Q"][1] = [0.0]
+        else:
+            data["dims"]["N"] = "x"
+        bad = tmp_path / "unconvertible.json"
+        bad.write_text(json.dumps(data))
+        result = runner.invoke(main, ["check", str(bad), "--json"])
+        assert result.exit_code == 3, result.output
+        assert f"malformed problem file {bad}: {named}:" in result.output
+
 
 class TestConvexify:
     def test_auto_delta(self, runner, qdp_file, tmp_path):
@@ -212,6 +231,12 @@ class TestVerifyCommand:
         assert result.exit_code == 0, result.output
         report = json.loads(result.output)
         assert report["pass"] and report["instances"] == 4
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_nonpositive_trials_rejected(self, runner, trials):
+        result = runner.invoke(main, ["verify", "--trials", trials, "--json"])
+        assert result.exit_code == 1
+        assert "--trials must be >= 1" in result.output
 
     def test_named_problem(self, runner, qdp_file):
         result = runner.invoke(main, ["verify", qdp_file, "--json"])

@@ -70,6 +70,15 @@ class TestConvexifyIdentities:
                 schur = st.Qt - st.St.T @ np.linalg.solve(st.Rt, st.St)
                 assert np.max(np.abs(schur - conv.delta * np.eye(qdp.dims.nx))) <= 1e-9
 
+    def test_cross_blocks_equal_stage_loop(self, small_pool):
+        """Dt1 and Dt2 are formed over stacks after the loop; the per-stage
+        products they replace give the same bits."""
+        for qdp in small_pool:
+            conv = qs.convexify(qdp, 0.5 * qs.reduced_hessian_gamma(qdp))
+            for k, (st, ct) in enumerate(zip(qdp.stages, conv.stages)):
+                assert np.array_equal(ct.Dt1, st.D1 + st.C.T @ conv.Qbar[k + 1] @ st.A)
+                assert np.array_equal(ct.Dt2, st.D2 + st.C.T @ conv.Qbar[k + 1] @ st.B)
+
 
 class TestDefinitenessGuarantees:
     def test_sufficient_interval_random_shifts(self):

@@ -1,9 +1,11 @@
 """Model-layer tests: linearization, objective evaluation, dynamics rollout."""
 
 import json
+import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -365,3 +367,100 @@ class TestDirectionShapes:
         for call in entry_points:
             with pytest.raises(qs.ValidationError, match=block):
                 call()
+
+
+BLOCKS = ("Q", "R", "S", "D1", "D2", "A", "B", "C")
+
+
+def stage_dicts(qdp):
+    return [{name: np.array(getattr(st, name)) for name in BLOCKS} for st in qdp.stages]
+
+
+class TestStackedBlocks:
+    """Blocks are stacked and validated once; errors still name block and stage."""
+
+    @staticmethod
+    def base():
+        qdp = qs.random_sosc_qdp(4, N=5, nx=3, nu=2, nd=2)
+        return qdp, stage_dicts(qdp)
+
+    @pytest.mark.parametrize("name", BLOCKS)
+    @pytest.mark.parametrize("fault, message", [
+        ("shape", "expected shape"),
+        ("non-finite", "non-finite entries"),
+        ("text", "not a numeric array"),
+    ])
+    def test_error_names_block_and_stage(self, name, fault, message):
+        qdp, stages = self.base()
+        block = stages[3][name]
+        if fault == "shape":
+            stages[3][name] = np.zeros((block.shape[0] + 1, block.shape[1]))
+        elif fault == "non-finite":
+            block[0, 0] = np.inf
+        else:
+            stages[3][name] = block.tolist()
+            stages[3][name][0][0] = "a"
+        with pytest.raises(qs.ValidationError, match=re.escape(f"{name}[3]: {message}")):
+            qs.QdpProblem(qdp.dims, stages, qdp.terminal_Q)
+
+    @pytest.mark.parametrize("name", ["Q", "R"])
+    def test_asymmetry_names_block_and_stage(self, name):
+        qdp, stages = self.base()
+        stages[3][name][0, 1] += 1e-8
+        with pytest.raises(qs.ValidationError, match=re.escape(f"{name}[3]: asymmetry")):
+            qs.QdpProblem(qdp.dims, stages, qdp.terminal_Q)
+
+    def test_first_bad_block_in_stage_order(self):
+        qdp, stages = self.base()
+        stages[4]["Q"][0, 0] = np.nan
+        stages[3]["C"] = np.zeros((1, 1))
+        with pytest.raises(qs.ValidationError, match=re.escape("C[3]:")):
+            qs.QdpProblem(qdp.dims, stages, qdp.terminal_Q)
+
+    def test_roundoff_symmetrized_at_every_stage(self):
+        qdp, stages = self.base()
+        for blocks in stages:
+            for name in ("Q", "R"):
+                blocks[name][-1, 0] += 1e-12
+        sym = qs.QdpProblem(qdp.dims, stages, qdp.terminal_Q)
+        for k, st in enumerate(sym.stages):
+            for name in ("Q", "R"):
+                given = stages[k][name]
+                assert np.array_equal(getattr(st, name), 0.5 * (given + given.T))
+                assert np.array_equal(getattr(st, name), getattr(st, name).T)
+
+    def test_stages_are_read_only_views_of_the_stacks(self):
+        qdp, _ = self.base()
+        for name in BLOCKS:
+            stack = qdp.blocks[name]
+            assert stack.shape[0] == qdp.dims.N and not stack.flags.writeable
+            for k, st in enumerate(qdp.stages):
+                assert np.shares_memory(getattr(st, name), stack)
+                assert np.array_equal(getattr(st, name), stack[k])
+        with pytest.raises(ValueError):
+            qdp.stages[2].Q[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            qdp.blocks["A"][0, 0, 0] = 1.0
+        with pytest.raises(TypeError):
+            qdp.blocks["A"] = np.zeros_like(qdp.blocks["A"])
+
+    def test_caller_arrays_are_copied(self):
+        qdp, stages = self.base()
+        terminal = np.array(qdp.terminal_Q)
+        built = qs.QdpProblem(qdp.dims, stages, terminal)
+        for blocks in stages:
+            for block in blocks.values():
+                block[...] = np.nan
+        terminal[...] = np.nan
+        for name in BLOCKS:
+            assert np.array_equal(built.blocks[name], qdp.blocks[name])
+        assert np.array_equal(built.terminal_Q, qdp.terminal_Q)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_full_hessian_is_block_diagonal_of_stage_hessians(self, seed):
+        qdp = qs.random_sosc_qdp(seed)
+        blocks = [qdp.stage_hessian(k) for k in range(qdp.dims.N + 1)]
+        assert np.array_equal(qdp.full_hessian(), scipy.linalg.block_diag(*blocks))
+        for k, st in enumerate(qdp.stages):
+            assert np.array_equal(qdp.stage_hessian(k), np.block([[st.Q, st.S.T], [st.S, st.R]]))
+            assert np.array_equal(qdp.stage_hessians()[k], qdp.stage_hessian(k))

@@ -47,6 +47,21 @@ class TestBackwardPass:
             rs = qs.backward_pass(convexified(qdp))
             assert rs.closed_loop_identity_residual <= 1e-9
 
+    def test_stacked_outputs_equal_stage_loop(self, small_pool, square_pool):
+        """E and the identity residual are formed over stacks after the loop;
+        the per-stage products they replace give the same bits."""
+        for qdp in small_pool + square_pool:
+            cq = convexified(qdp)
+            rs = qs.backward_pass(cq)
+            worst = 0.0
+            for k, st in enumerate(cq.stages):
+                assert np.array_equal(rs.E[k], st.A + st.B @ rs.P[k])
+                basis = np.vstack([np.eye(qdp.dims.nx), rs.P[k]])
+                hess = np.block([[st.Q, st.S.T], [st.S, st.R]])
+                rebuilt = rs.E[k].T @ rs.K[k + 1] @ rs.E[k] + basis.T @ hess @ basis
+                worst = max(worst, np.max(np.abs(rs.K[k] - rebuilt)), np.max(np.abs(rs.K[k] - rs.K[k].T)))
+            assert rs.closed_loop_identity_residual == worst
+
     def test_indefinite_w_raises(self):
         dims = qs.Dims(N=2, nx=1, nu=1, nd=1)
         qdp = qs.QdpProblem.constant(
