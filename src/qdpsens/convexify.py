@@ -39,7 +39,7 @@ from .exceptions import (
     NotPositiveDefinite,
     ValidationError,
 )
-from .model import Dims, QdpProblem, _direction_parts
+from .model import Dims, QdpProblem, _direction_parts, _stage_hessians
 from .riccati import _stage_step
 
 INVERTIBILITY_TOL = 1e-12
@@ -54,7 +54,7 @@ class ConvexifiedStage:
     Dt2: np.ndarray
 
     def hessian(self) -> np.ndarray:
-        return np.block([[self.Qt, self.St.T], [self.St, self.Rt]])
+        return _stage_hessians(self.Qt, self.Rt, self.St)
 
 
 @dataclass(frozen=True)
@@ -125,10 +125,9 @@ def convexify(qdp: QdpProblem, delta: float) -> ConvexifiedQdp:
     if delta < 0:
         raise ValidationError(f"shift parameter must be >= 0, got {delta}")
     dims = qdp.dims
-    eye = np.eye(dims.nx)
-    terminal_Qt = delta * eye
+    shift = delta * np.eye(dims.nx)
     qbar = [None] * (dims.N + 1)
-    qbar[dims.N] = symmetrize(qdp.terminal_Q - terminal_Qt)
+    qbar[dims.N] = symmetrize(qdp.terminal_Q - shift)
     Qt, Rt, St = [None] * dims.N, [None] * dims.N, [None] * dims.N
 
     def check_Rt(k: int, fact: SymSolve) -> None:
@@ -140,7 +139,7 @@ def convexify(qdp: QdpProblem, delta: float) -> ConvexifiedQdp:
     for k in range(dims.N - 1, -1, -1):
         fact, St[k], P, X = _stage_step(k, qdp.stages[k], qbar[k + 1], check_Rt)
         Rt[k] = fact.mat
-        Qt[k] = symmetrize(-St[k].T @ P) + delta * eye
+        Qt[k] = symmetrize(-St[k].T @ P) + shift
         qbar[k] = symmetrize(symmetrize(X) - Qt[k])
 
     blocks = qdp.blocks
@@ -152,7 +151,7 @@ def convexify(qdp: QdpProblem, delta: float) -> ConvexifiedQdp:
         dims=dims,
         delta=float(delta),
         stages=stages,
-        terminal_Qt=terminal_Qt,
+        terminal_Qt=shift,
         Qbar=tuple(qbar),
         semidefinite=(delta == 0.0),
         _source=qdp,

@@ -21,6 +21,7 @@ pure function of its inputs, so concurrent use is safe.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Sequence
@@ -168,6 +169,30 @@ def _stack_blocks(dims: Dims, stages) -> dict:
     return {name: _freeze(stack) for name, stack in stacks.items()}
 
 
+def place_stage_blocks(out: Array, blocks: Array, row_step: int, col_step: int,
+                       row: int = 0, col: int = 0) -> Array:
+    """Write block k of an (n, r, c) stack at out[row + k row_step:, col + k col_step:], all k at once.
+
+    Every dense stagewise matrix is such strided stacks of stage blocks: the
+    block-diagonal Hessian, the staircase Jacobian and the lifted cross term.
+    Values are copied, never combined. Returns out.
+    """
+    n, r, c = blocks.shape
+    k = np.arange(n)[:, None, None]
+    out[row + k * row_step + np.arange(r)[:, None], col + k * col_step + np.arange(c)] = blocks
+    return out
+
+
+def stagewise_hessian(stage_hessians: Array, terminal_Q: Array) -> Array:
+    """Hessian over (p_0, q_0, ..., p_N): the (N, nx + nu, nx + nu) stack on the diagonal, then terminal_Q."""
+    N, width, _ = stage_hessians.shape
+    body = N * width
+    size = body + terminal_Q.shape[0]
+    out = place_stage_blocks(np.zeros((size, size)), stage_hessians, width, width)
+    out[body:, body:] = terminal_Q
+    return out
+
+
 def _stage_hessians(Q: Array, R: Array, S: Array) -> Array:
     """[[Q, S'], [S, R]] for one stage or, on stacks, for every stage at once."""
     nx = Q.shape[-1]
@@ -221,14 +246,7 @@ class QdpProblem:
 
     def full_hessian(self) -> Array:
         """Block-diagonal Hessian over (p_0, q_0, ..., p_N), shape (n_z, n_z)."""
-        dims = self.dims
-        width = dims.nx + dims.nu
-        body = dims.N * width
-        out = np.zeros((dims.n_z, dims.n_z))
-        diag = np.arange(dims.N)
-        out[:body, :body].reshape(dims.N, width, dims.N, width)[diag, :, diag, :] = self.stage_hessians()
-        out[body:, body:] = self.terminal_Q
-        return out
+        return stagewise_hessian(self.stage_hessians(), self.terminal_Q)
 
     def lifted_cross(self) -> Array:
         """Cross-term matrix mapping the primal vector to stage directions.
@@ -238,14 +256,10 @@ class QdpProblem:
         of the objective. The initial block of l has no cross term.
         """
         dims = self.dims
-        nx, nu, nd = dims.nx, dims.nu, dims.nd
-        out = np.zeros((dims.N * nd, dims.n_z))
-        for k, st in enumerate(self.stages):
-            row = k * nd
-            col = k * (nx + nu)
-            out[row:row + nd, col:col + nx] = st.D1
-            out[row:row + nd, col + nx:col + nx + nu] = st.D2
-        return out
+        width = dims.nx + dims.nu
+        out = np.zeros((dims.N * dims.nd, dims.n_z))
+        place_stage_blocks(out, self._blocks["D1"], dims.nd, width)
+        return place_stage_blocks(out, self._blocks["D2"], dims.nd, width, col=dims.nx)
 
     def max_block_norm(self) -> float:
         """Largest spectral norm over all stored blocks (data bound)."""
@@ -282,16 +296,21 @@ class QdpProblem:
     def from_json_dict(cls, data: dict) -> "QdpProblem":
         try:
             dd = data["dims"]
-            sizes = [dd[name] for name in ("N", "nx", "nu", "nd")]
+            sizes = {name: dd[name] for name in ("N", "nx", "nu", "nd")}
             stages = data["stages"]
             terminal = data["terminal_Q"]
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed problem JSON: missing field {exc}") from exc
-        try:
-            sizes = [int(size) for size in sizes]
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"dims: not an integer ({exc})") from exc
-        return cls(Dims(*sizes), stages, terminal)
+        return cls(Dims(**{name: _json_dim(name, size) for name, size in sizes.items()}), stages, terminal)
+
+
+def _json_dim(name: str, value) -> int:
+    """A dimension read from JSON: an int, or a float with no fractional part (3.0), never a bool."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValidationError(f"dims: {name} is not an integer ({value!r})")
 
 
 def save_qdp(qdp: QdpProblem, path) -> None:
@@ -468,6 +487,12 @@ def cost_gradient_vector(model: NldpModel, x: Array, u: Array, d: Array) -> Arra
     return out
 
 
+def _jacobian_stacks(model: NldpModel, x: Array, u: Array, d: Array) -> tuple:
+    """Dynamics Jacobians (A, B, C) at (x, u; d) as three (N, nx, ·) stacks."""
+    jacs = [model.dynamics_jacobians(k, x[k], u[k], model.d_stage(k, d)) for k in range(model.dims.N)]
+    return tuple(np.array(blocks, dtype=float) for blocks in zip(*jacs))
+
+
 def recover_multipliers(model: NldpModel) -> Array:
     """Least-squares multipliers from stationarity at the base point.
 
@@ -477,11 +502,8 @@ def recover_multipliers(model: NldpModel) -> Array:
     from .nullspace import staircase_jacobian
 
     dims = model.dims
-    jacs = [
-        model.dynamics_jacobians(k, model.x0[k], model.u0[k], model.d_stage(k))
-        for k in range(dims.N)
-    ]
-    G = staircase_jacobian(dims, [j[0] for j in jacs], [j[1] for j in jacs])
+    A, B, _ = _jacobian_stacks(model, model.x0, model.u0, model.d0)
+    G = staircase_jacobian(dims, A, B)
     grad = cost_gradient_vector(model, model.x0, model.u0, model.d0)
     lam, *_ = np.linalg.lstsq(G.T, -grad, rcond=None)
     residual = float(np.max(np.abs(G.T @ lam + grad)))

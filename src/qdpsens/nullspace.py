@@ -18,23 +18,18 @@ import scipy.linalg
 
 from ._linalg import inf_norm, sym_eigvals
 from .exceptions import ValidationError
-from .model import Dims, QdpProblem, _direction_parts
+from .model import Dims, QdpProblem, _direction_parts, place_stage_blocks
 
 RANK_TOL = 1e-10
 
 
 def staircase_jacobian(dims: Dims, A_blocks, B_blocks) -> np.ndarray:
-    """Dense constraint Jacobian from dynamics Jacobians."""
-    nx, nu = dims.nx, dims.nu
+    """Dense constraint Jacobian from dynamics Jacobians (stacks or sequences of N blocks)."""
+    nx, width = dims.nx, dims.nx + dims.nu
     G = np.zeros((dims.n_con, dims.n_z))
-    G[:nx, :nx] = np.eye(nx)
-    for k in range(dims.N):
-        row = (k + 1) * nx
-        col = k * (nx + nu)
-        G[row:row + nx, col:col + nx] = -np.asarray(A_blocks[k], dtype=float)
-        G[row:row + nx, col + nx:col + nx + nu] = -np.asarray(B_blocks[k], dtype=float)
-        G[row:row + nx, col + nx + nu:col + 2 * nx + nu] = np.eye(nx)
-    return G
+    place_stage_blocks(G, np.broadcast_to(np.eye(nx), (dims.N + 1, nx, nx)), nx, width)
+    place_stage_blocks(G, -np.asarray(A_blocks, dtype=float), nx, width, row=nx)
+    return place_stage_blocks(G, -np.asarray(B_blocks, dtype=float), nx, width, row=nx, col=nx)
 
 
 @dataclass(frozen=True)
@@ -69,10 +64,7 @@ def assemble_constraints(qdp: QdpProblem, l) -> ConstraintSystem:
     dims = qdp.dims
     G = staircase_jacobian(dims, qdp.blocks["A"], qdp.blocks["B"])
     l_minus1, l_stages = _direction_parts(l, dims)
-    y = np.zeros(dims.n_con)
-    y[:dims.nx] = l_minus1
-    for k, st in enumerate(qdp.stages):
-        y[(k + 1) * dims.nx:(k + 2) * dims.nx] = st.C @ l_stages[k]
+    y = np.concatenate([l_minus1, (qdp.blocks["C"] @ l_stages[:, :, None]).reshape(-1)])
     return ConstraintSystem(dims=dims, G=G, y=y)
 
 

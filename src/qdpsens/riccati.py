@@ -65,9 +65,10 @@ def _stage_step(k: int, st, K_next: np.ndarray, check):
     caller's typed ``check(k, fact)`` before use; G = B' K_next A + S,
     P = -W^{-1} G, X = Q + A' K_next A. Each caller updates its own next matrix,
     since one shared update rounds differently (1e-12 on recorded output)."""
-    fact = SymSolve(st.R + st.B.T @ K_next @ st.B)
+    BK = st.B.T @ K_next
+    fact = SymSolve(st.R + BK @ st.B)
     check(k, fact)
-    G = st.B.T @ K_next @ st.A + st.S
+    G = BK @ st.A + st.S
     return fact, G, -fact.solve(G), st.Q + st.A.T @ K_next @ st.A
 
 
@@ -111,15 +112,19 @@ def backward_pass(qdp: QdpProblem) -> RiccatiSolution:
     )
 
 
-def _influence_sweep(rs: RiccatiSolution, qdp: QdpProblem, lst: np.ndarray) -> np.ndarray:
-    """Accumulators s_0..s_N, shape (N + 1, nx, m), for direction blocks lst (N, nd, m)."""
+def _influence_sweep(rs: RiccatiSolution, qdp: QdpProblem, lst: np.ndarray) -> tuple:
+    """(s, CL, KCL) for direction blocks lst (N, nd, m): the accumulators s_0..s_N,
+    shape (N + 1, nx, m), and the stacks C_k L_k and K_{k+1} C_k L_k, (N, nx, m)
+    each, which the forward roll reuses. Only the accumulation is a loop."""
     dims = qdp.dims
+    blocks = qdp.blocks
+    cl = blocks["C"] @ lst
+    kcl = np.array(rs.K[1:]) @ cl
+    source = np.swapaxes(blocks["D1"] + blocks["D2"] @ np.array(rs.P), 1, 2) @ lst
     s = np.zeros((dims.N + 1, dims.nx, lst.shape[2]))
     for k in range(dims.N - 1, -1, -1):
-        st = qdp.stages[k]
-        lk = lst[k]
-        s[k] = rs.E[k].T @ (s[k + 1] - rs.K[k + 1] @ (st.C @ lk)) - (st.D1 + st.D2 @ rs.P[k]).T @ lk
-    return s
+        s[k] = rs.E[k].T @ (s[k + 1] - kcl[k]) - source[k]
+    return s, cl, kcl
 
 
 def forward_solve_block(rs: RiccatiSolution, qdp: QdpProblem, L: np.ndarray) -> np.ndarray:
@@ -127,22 +132,23 @@ def forward_solve_block(rs: RiccatiSolution, qdp: QdpProblem, L: np.ndarray) -> 
 
     L holds one dense direction (l_{-1}; l_0; ...; l_{N-1}) per row. States
     come from rolling the dynamics under the optimal controls, so every row
-    is feasible by construction.
+    is feasible by construction. The control drives and their W_k solves are
+    formed before the roll, which carries only the states.
     """
     dims = qdp.dims
     N, nx, nu = dims.N, dims.nx, dims.nu
     m = L.shape[0]
     lst = np.ascontiguousarray(L[:, nx:].reshape(m, N, dims.nd).transpose(1, 2, 0))
-    s = _influence_sweep(rs, qdp, lst)
+    s, cl, kcl = _influence_sweep(rs, qdp, lst)
+    A, B, D2 = qdp.blocks["A"], qdp.blocks["B"], qdp.blocks["D2"]
+    drive = np.swapaxes(B, 1, 2) @ (s[1:] - kcl) - np.swapaxes(D2, 1, 2) @ lst
+    feedforward = [rs.solve_W(k, rhs) for k, rhs in enumerate(drive)]
     states = np.empty((N + 1, nx, m))
     controls = np.empty((N, nu, m))
     states[0] = L[:, :nx].T
     for k in range(N):
-        st = qdp.stages[k]
-        cl = st.C @ lst[k]
-        drive = st.B.T @ (s[k + 1] - rs.K[k + 1] @ cl) - st.D2.T @ lst[k]
-        controls[k] = rs.P[k] @ states[k] + rs.solve_W(k, drive)
-        states[k + 1] = st.A @ states[k] + st.B @ controls[k] + cl
+        controls[k] = rs.P[k] @ states[k] + feedforward[k]
+        states[k + 1] = A[k] @ states[k] + B[k] @ controls[k] + cl[k]
     body = np.concatenate([states[:N], controls], axis=1).reshape(N * (nx + nu), m)
     return np.ascontiguousarray(np.concatenate([body, states[N]]).T)
 
@@ -182,7 +188,7 @@ def cost_to_go_terms(rs: RiccatiSolution, qdp: QdpProblem, l, k: int) -> CostToG
     if k == dims.N:
         return CostToGo(rs.K[dims.N].copy(), np.zeros(dims.nx), 0.0)
     _, l_stages = _direction_parts(l, dims)
-    s = _influence_sweep(rs, qdp, l_stages[:, :, None])[:, :, 0]
+    s = _influence_sweep(rs, qdp, l_stages[:, :, None])[0][:, :, 0]
     constant = 0.0
     for j in range(dims.N - 1, k - 1, -1):
         st = qdp.stages[j]

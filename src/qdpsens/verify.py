@@ -24,9 +24,12 @@ from .model import (
     QdpProblem,
     Trajectory,
     _direction_parts,
+    _jacobian_stacks,
+    _stage_hessians,
     cost_gradient_vector,
     eval_qdp_objective,
     recover_multipliers,
+    stagewise_hessian,
 )
 from .nullspace import assemble_constraints, staircase_jacobian
 
@@ -274,38 +277,27 @@ def _model_state(model: NldpModel, d: np.ndarray, traj: Trajectory):
     """Constraint Jacobian, cost gradient and constraint residuals at a point."""
     dims = model.dims
     x, u = traj.states, traj.controls
-    jacs = []
-    cons = np.empty(dims.n_con)
-    cons[:dims.nx] = x[0] - d[:dims.nx]
-    for k in range(dims.N):
-        dk = model.d_stage(k, d)
-        jacs.append(model.dynamics_jacobians(k, x[k], u[k], dk))
-        cons[(k + 1) * dims.nx:(k + 2) * dims.nx] = x[k + 1] - np.asarray(
-            model.dynamics(k, x[k], u[k], dk), dtype=float
-        ).reshape(-1)
+    A, B, _ = _jacobian_stacks(model, x, u, d)
+    f = np.array([model.dynamics(k, x[k], u[k], model.d_stage(k, d)) for k in range(dims.N)], dtype=float)
+    cons = np.concatenate([x[0] - d[:dims.nx], (x[1:] - f.reshape(dims.N, dims.nx)).reshape(-1)])
     grad = cost_gradient_vector(model, x, u, d)
-    G = staircase_jacobian(dims, [j[0] for j in jacs], [j[1] for j in jacs])
-    return G, grad, cons
+    return staircase_jacobian(dims, A, B), grad, cons
 
 
 def _hessian_blocks(model: NldpModel, d, traj, lam):
+    """Stage Lagrangian Hessians as one (N, nx + nu, nx + nu) stack, and the terminal Hessian."""
     dims = model.dims
-    blocks = []
-    for k in range(dims.N):
-        dk = model.d_stage(k, d)
-        Q, S, R, D1, D2 = model.lagrangian_hessian(
-            k, traj.states[k], traj.controls[k], dk, lam[(k + 1) * dims.nx:(k + 2) * dims.nx]
-        )
-        blocks.append((np.asarray(Q, float), np.asarray(S, float), np.asarray(R, float)))
+    lam_stages = lam[dims.nx:].reshape(dims.N, dims.nx)
+    blocks = [model.lagrangian_hessian(k, traj.states[k], traj.controls[k], model.d_stage(k, d), lam_k)
+              for k, lam_k in enumerate(lam_stages)]
+    Q, S, R = (np.array(stack, dtype=float) for stack in list(zip(*blocks))[:3])
     QN = np.asarray(model.terminal_hessian(traj.states[dims.N]), dtype=float)
-    return blocks, QN
+    return _stage_hessians(Q, R, S), QN
 
 
-def _step_system(dims: Dims, blocks, QN, G, grad, cons):
+def _step_system(dims: Dims, hessians, QN, G, grad, cons):
     """Solve the plain Newton step saddle system."""
-    H = scipy.linalg.block_diag(
-        *[np.block([[Q, S.T], [S, R]]) for (Q, S, R) in blocks], QN
-    )
+    H = stagewise_hessian(hessians, QN)
     sol = _saddle_solve(H, G, np.concatenate([-grad, -cons]))
     return sol[:dims.n_z], sol[dims.n_z:]
 
@@ -333,8 +325,8 @@ def newton_equality_solve(
     G, grad, cons = _model_state(model, d, traj)
     residual = np.inf
     for iteration in range(1, max_iterations + 1):
-        blocks, QN = _hessian_blocks(model, d, traj, lam)
-        dz, lam = _step_system(dims, blocks, QN, G, grad, cons)
+        hessians, QN = _hessian_blocks(model, d, traj, lam)
+        dz, lam = _step_system(dims, hessians, QN, G, grad, cons)
         step = Trajectory.from_stacked(dims, dz)
         traj = Trajectory(traj.states + step.states, traj.controls + step.controls)
         G, grad, cons = _model_state(model, d, traj)

@@ -56,6 +56,19 @@ def tracking_exp_qdp(tracking_exp_model):
     return qs.assemble_qdp_from_nldp(tracking_exp_model)
 
 
+@pytest.fixture(scope="session")
+def shape_pool(tracking_linear_qdp, tracking_exp_qdp):
+    """Mixed block shapes (nu < nx, nd != nx), a one-stage horizon, and the two tracking QDPs."""
+    return [
+        qs.random_sosc_qdp(41, N=6, nx=4, nu=2, nd=3),
+        qs.random_sosc_qdp(42, N=5, nx=3, nu=1, nd=2),
+        qs.random_sosc_qdp(43, N=1, nx=3, nu=2, nd=1),
+        qs.random_sosc_qdp(44, N=4, nx=2, nu=2, nd=3),
+        tracking_linear_qdp,
+        tracking_exp_qdp,
+    ]
+
+
 def random_direction(qdp, rng, kind: str = "any"):
     """Random direction: a canonical block direction or a dense unit vector."""
     dims = qdp.dims

@@ -77,6 +77,8 @@ class TestCheck:
         ("string entry", "Q[0]"),
         ("ragged block", "Q[0]"),
         ("non-integer dims", "dims"),
+        ("fractional dims", "dims"),
+        ("boolean dims", "dims"),
     ])
     def test_unconvertible_entries_exit_3(self, runner, tmp_path, fault, named):
         data = qs.random_sosc_qdp(1, N=2, nx=2, nu=1, nd=1).to_json_dict()
@@ -84,8 +86,12 @@ class TestCheck:
             data["stages"][0]["Q"][0][0] = "a"
         elif fault == "ragged block":
             data["stages"][0]["Q"][1] = [0.0]
-        else:
+        elif fault == "non-integer dims":
             data["dims"]["N"] = "x"
+        elif fault == "fractional dims":
+            data["dims"]["N"] = 2.5
+        else:
+            data["dims"]["nx"] = True
         bad = tmp_path / "unconvertible.json"
         bad.write_text(json.dumps(data))
         result = runner.invoke(main, ["check", str(bad), "--json"])

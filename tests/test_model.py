@@ -76,6 +76,21 @@ class TestQdpProblem:
                 assert np.array_equal(orig, twice)
         assert np.array_equal(qdp.terminal_Q, reloaded.terminal_Q)
 
+    @pytest.mark.parametrize("value, shown", [(3.5, "3.5"), (2.9, "2.9"), (True, "True"), ("3", "'3'")])
+    def test_json_dims_must_be_integers(self, value, shown):
+        data = qs.random_sosc_qdp(5, N=3).to_json_dict()
+        data["dims"]["N"] = value
+        data["dims"]["nx"] = 2.7
+        with pytest.raises(qs.ValidationError, match=re.escape(f"dims: N is not an integer ({shown})")):
+            qs.QdpProblem.from_json_dict(data)
+
+    def test_json_dims_accept_integral_floats(self):
+        qdp = qs.random_sosc_qdp(5, N=3)
+        data = qdp.to_json_dict()
+        data["dims"] = {name: float(size) for name, size in data["dims"].items()}
+        loaded = qs.QdpProblem.from_json_dict(data)
+        assert loaded.dims == qdp.dims and type(loaded.dims.N) is int
+
     def test_immutable_blocks(self):
         qdp = qs.random_sosc_qdp(1, N=3)
         with pytest.raises(ValueError):
@@ -464,3 +479,17 @@ class TestStackedBlocks:
         for k, st in enumerate(qdp.stages):
             assert np.array_equal(qdp.stage_hessian(k), np.block([[st.Q, st.S.T], [st.S, st.R]]))
             assert np.array_equal(qdp.stage_hessians()[k], qdp.stage_hessian(k))
+
+    def test_placed_matrices_equal_stage_loop(self, shape_pool):
+        """full_hessian and lifted_cross are placed from the block stacks; the
+        per-stage constructions they replace give the same bits."""
+        for qdp in shape_pool:
+            dims = qdp.dims
+            hessians = [np.block([[st.Q, st.S.T], [st.S, st.R]]) for st in qdp.stages]
+            assert np.array_equal(qdp.full_hessian(), scipy.linalg.block_diag(*hessians, qdp.terminal_Q))
+            cross = np.zeros((dims.N * dims.nd, dims.n_z))
+            for k, st in enumerate(qdp.stages):
+                row, col = k * dims.nd, k * (dims.nx + dims.nu)
+                cross[row:row + dims.nd, col:col + dims.nx] = st.D1
+                cross[row:row + dims.nd, col + dims.nx:col + dims.nx + dims.nu] = st.D2
+            assert np.array_equal(qdp.lifted_cross(), cross)

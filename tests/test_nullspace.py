@@ -46,6 +46,29 @@ class TestAssembleConstraints:
                       dims.nx + k * dims.nd:dims.nx + (k + 1) * dims.nd] = st.C
             assert np.max(np.abs(cs.y - dense @ l.dense())) <= 1e-14
 
+    def test_placed_staircase_equals_stage_loop(self, shape_pool):
+        """G is placed from the A and B stacks and y formed over the C stack; the
+        per-stage assembly they replace gives the same bits."""
+        rng = np.random.default_rng(8)
+        for qdp in shape_pool:
+            dims = qdp.dims
+            nx, nu = dims.nx, dims.nu
+            l = random_direction(qdp, rng)
+            G = np.zeros((dims.n_con, dims.n_z))
+            G[:nx, :nx] = np.eye(nx)
+            y = np.zeros(dims.n_con)
+            y[:nx] = l.l_minus1
+            for k, st in enumerate(qdp.stages):
+                row, col = (k + 1) * nx, k * (nx + nu)
+                G[row:row + nx, col:col + nx] = -st.A
+                G[row:row + nx, col + nx:col + nx + nu] = -st.B
+                G[row:row + nx, col + nx + nu:col + 2 * nx + nu] = np.eye(nx)
+                y[row:row + nx] = st.C @ l.l_stages[k]
+            cs = qs.assemble_constraints(qdp, l)
+            assert np.array_equal(cs.G, G) and np.array_equal(cs.y, y)
+            as_lists = qs.staircase_jacobian(dims, [st.A for st in qdp.stages], [st.B for st in qdp.stages])
+            assert np.array_equal(as_lists, G)
+
 
 class TestNullspaceBasis:
     def test_scalar_kernel_direction(self):

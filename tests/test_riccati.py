@@ -5,6 +5,7 @@ import pytest
 
 import qdpsens as qs
 from qdpsens import materialize_influence
+from qdpsens.riccati import _influence_sweep, forward_solve_block
 
 from conftest import random_direction
 
@@ -112,6 +113,33 @@ class TestForwardSolve:
                 ref = qs.dense_kkt_solve(qdp, l).trajectory.stacked()
                 scale = max(1.0, np.max(np.abs(ref)))
                 assert np.max(np.abs(traj.stacked() - ref)) / scale <= 1e-8
+
+
+    def test_stacked_sweeps_equal_stage_loop(self, shape_pool):
+        """The sweeps form their direction products over the stacks before
+        looping; the per-stage loops they replace give the same bits."""
+        rng = np.random.default_rng(4)
+        for qdp in shape_pool:
+            fac = qs.factorize(qdp)
+            rs, cq, dims = fac.riccati, fac.convexified_qdp, qdp.dims
+            N, nx, nu = dims.N, dims.nx, dims.nu
+            for L in (np.eye(dims.n_dir), rng.standard_normal((3, dims.n_dir))):
+                m = L.shape[0]
+                lst = np.ascontiguousarray(L[:, nx:].reshape(m, N, dims.nd).transpose(1, 2, 0))
+                s = np.zeros((N + 1, nx, m))
+                for k in range(N - 1, -1, -1):
+                    st, lk = cq.stages[k], lst[k]
+                    s[k] = rs.E[k].T @ (s[k + 1] - rs.K[k + 1] @ (st.C @ lk)) - (st.D1 + st.D2 @ rs.P[k]).T @ lk
+                states, controls = np.empty((N + 1, nx, m)), np.empty((N, nu, m))
+                states[0] = L[:, :nx].T
+                for k, st in enumerate(cq.stages):
+                    cl = st.C @ lst[k]
+                    drive = st.B.T @ (s[k + 1] - rs.K[k + 1] @ cl) - st.D2.T @ lst[k]
+                    controls[k] = rs.P[k] @ states[k] + rs.solve_W(k, drive)
+                    states[k + 1] = st.A @ states[k] + st.B @ controls[k] + cl
+                body = np.concatenate([states[:N], controls], axis=1).reshape(N * (nx + nu), m)
+                assert np.array_equal(_influence_sweep(rs, cq, lst)[0], s)
+                assert np.array_equal(forward_solve_block(rs, cq, L), np.concatenate([body, states[N]]).T)
 
 
 class TestCostToGo:

@@ -4,8 +4,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import qdpsens as qs
+from qdpsens.model import stagewise_hessian
+from qdpsens.verify import _hessian_blocks, _model_state
 
 from conftest import random_direction
 
@@ -101,6 +104,33 @@ class TestNewtonSolve:
         bad = dataclasses.replace(model, lagrangian_hessian=nan_hessian)
         with pytest.raises(qs.SingularKkt):
             qs.newton_equality_solve(bad, bad.d0, bad.base_trajectory())
+
+    def test_step_system_placed_equals_stage_loop(self, tracking_linear_model, tracking_exp_model):
+        """The Newton step Hessian and Jacobian are placed from stage stacks; the
+        per-stage constructions they replace give the same bits."""
+        rng = np.random.default_rng(3)
+        models = [tracking_linear_model, tracking_exp_model, _affine_quadratic_model(2),
+                  _smooth_fd_model(N=1, nx=3, nu=1, nd=2), _smooth_fd_model(N=5, nx=4, nu=2, nd=3)]
+        for model in models:
+            dims = model.dims
+            traj = qs.Trajectory(rng.standard_normal((dims.N + 1, dims.nx)),
+                                 rng.standard_normal((dims.N, dims.nu)))
+            d = rng.standard_normal(dims.n_dir)
+            lam = rng.standard_normal(dims.n_con)
+            hessians, jacobians, cons = [], [], [traj.states[0] - d[:dims.nx]]
+            for k in range(dims.N):
+                x, u, dk = traj.states[k], traj.controls[k], model.d_stage(k, d)
+                Q, S, R, _, _ = map(np.asarray, model.lagrangian_hessian(
+                    k, x, u, dk, lam[(k + 1) * dims.nx:(k + 2) * dims.nx]))
+                hessians.append(np.block([[Q, S.T], [S, R]]))
+                jacobians.append(model.dynamics_jacobians(k, x, u, dk))
+                cons.append(traj.states[k + 1] - np.asarray(model.dynamics(k, x, u, dk)).reshape(-1))
+            H = scipy.linalg.block_diag(*hessians, model.terminal_hessian(traj.states[dims.N]))
+            G = qs.staircase_jacobian(dims, [j[0] for j in jacobians], [j[1] for j in jacobians])
+            stacks, QN = _hessian_blocks(model, d, traj, lam)
+            assert np.array_equal(stagewise_hessian(stacks, QN), H)
+            G_placed, _, cons_placed = _model_state(model, d, traj)
+            assert np.array_equal(G_placed, G) and np.array_equal(cons_placed, np.concatenate(cons))
 
     def test_divergence_reported(self):
         """A problem whose stationary point flees the quadratic model."""
@@ -201,3 +231,22 @@ def _affine_quadratic_model(seed: int) -> qs.NldpModel:
         u0=np.zeros((4, 2)),
         multipliers=None,
     )
+
+
+def _smooth_fd_model(N: int, nx: int, nu: int, nd: int, seed: int = 0) -> qs.NldpModel:
+    """Nonlinear model with finite-difference derivatives and arbitrary block shapes."""
+    rng = np.random.default_rng(seed)
+    A = 0.5 * rng.standard_normal((nx, nx))
+    B = rng.standard_normal((nx, nu))
+    C = rng.standard_normal((nx, nd))
+
+    def stage_cost(k, x, u, d):
+        return float(x @ x + (k + 1) * (u @ u) + np.sin(x).sum() * u.sum() + (d @ d) * x[0])
+
+    def dynamics(k, x, u, d):
+        return A @ x + B @ u + C @ d + 0.1 * np.sin(x)
+
+    return qs.model_with_fd_derivatives(
+        qs.Dims(N=N, nx=nx, nu=nu, nd=nd), stage_cost, lambda x: float(x @ x + x[0] ** 3), dynamics,
+        d0=np.zeros(nx + N * nd), x0=np.zeros((N + 1, nx)), u0=np.zeros((N, nu)),
+        multipliers=np.zeros((N + 1, nx)))
