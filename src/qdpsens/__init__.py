@@ -7,6 +7,7 @@ away from the perturbed stage with computable constants.
 """
 
 from .convexify import ConvexifiedQdp, convexify, shifted_problem
+from .curvature import gamma_bracket
 from .estimator import RiccatiSensitivityEstimator, check_direction_array
 from .exceptions import (
     ControllabilityFailed,
@@ -20,6 +21,7 @@ from .exceptions import (
     SingularKkt,
     SolverDiverged,
     SoscFailed,
+    UncertainInertia,
     ValidationError,
 )
 from .model import (

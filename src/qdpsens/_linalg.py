@@ -48,9 +48,15 @@ def max_operator_norm(blocks) -> float:
     return float(np.sqrt(max(top, 0.0)))
 
 
-def sym_eigvals(mat: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a (nearly) symmetric matrix, ascending."""
-    return scipy.linalg.eigvalsh(symmetrize(mat))
+def sym_min_eig(mat: np.ndarray) -> float:
+    """Smallest eigenvalue of a (nearly) symmetric matrix, computed alone (LAPACK ``syevr``
+    with a one-index range, as ``scipy.linalg.eigh(..., subset_by_index=[0, 0])`` calls it)."""
+    lwork, liwork = _syevr_workspace(mat.shape[0])
+    w, _, _, _, info = _SYEVR(symmetrize(mat), compute_v=0, range="I", il=1, iu=1, lower=1,
+                              lwork=lwork, liwork=liwork)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"syevr failed (info={info})")
+    return float(w[0])
 
 
 def inf_norm(vec_or_mat: np.ndarray) -> float:
@@ -100,7 +106,8 @@ class SymSolve:
 
     @property
     def min_abs_eig(self) -> float:
-        return float(np.min(np.abs(self.eigvals)))
+        low = self.eigvals[0]
+        return float(low if low >= 0.0 else np.min(np.abs(self.eigvals)))
 
     @property
     def max_abs_eig(self) -> float:

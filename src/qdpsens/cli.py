@@ -18,6 +18,7 @@ import numpy as np
 
 from . import presets
 from .convexify import convexify
+from .curvature import gamma_bracket
 from .exceptions import (
     ControllabilityFailed,
     IndefiniteW,
@@ -29,10 +30,10 @@ from .exceptions import (
     SingularKkt,
     SolverDiverged,
     SoscFailed,
+    UncertainInertia,
     ValidationError,
 )
 from .model import QdpProblem, assemble_qdp_from_nldp, load_qdp
-from .nullspace import reduced_hessian_gamma
 from .sensitivity import (
     LOG_CLAMP,
     auto_controllability,
@@ -62,6 +63,7 @@ _SOLVER_ERRORS = (
     IndefiniteW,
     SingularKkt,
     SolverDiverged,
+    UncertainInertia,
 )
 
 
@@ -119,16 +121,26 @@ def main():
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable report.")
 @_builtin_options
 def check(problem, lambda_c, t_max, as_json, n, mu1, mu2, gamma0, seed):
-    """Verify curvature and reachability assumptions of PROBLEM."""
+    """Verify curvature and reachability assumptions of PROBLEM.
+
+    The curvature assumption is decided by the inertia count at sigma = 0;
+    when it holds, gamma is reported as a certified bracket.
+    """
 
     def run():
         qdp = _load_input(problem, n, mu1, mu2, gamma0, seed)
-        gamma = reduced_hessian_gamma(qdp)
+        try:
+            gamma, gamma_hi = gamma_bracket(qdp)
+            sosc_failure = None
+        except SoscFailed as exc:
+            gamma = gamma_hi = None
+            sosc_failure = exc
         upsilon = qdp.max_block_norm()
-        sosc_ok = gamma > 0.0
+        sosc_ok = sosc_failure is None
         ctrl = auto_controllability(qdp, t_max) if lambda_c is None else controllability(qdp, lambda_c, t_max)
         report = {
             "gamma": gamma,
+            "gamma_hi": gamma_hi,
             "upsilon": upsilon,
             "sosc_pass": sosc_ok,
             "lambda_c": ctrl.lambda_c,
@@ -139,9 +151,12 @@ def check(problem, lambda_c, t_max, as_json, n, mu1, mu2, gamma0, seed):
         if as_json:
             click.echo(json.dumps(report))
         else:
-            click.echo(f"gamma (reduced curvature lower bound): {gamma:.12g}")
+            if sosc_ok:
+                click.echo(f"gamma (certified lower bound):         {gamma:.12g}")
+                click.echo(f"gamma upper bound (Rayleigh quotient): {gamma_hi:.12g}")
             click.echo(f"upsilon (largest block norm):          {upsilon:.12g}")
-            click.echo(f"curvature assumption:                  {'pass' if sosc_ok else 'FAIL'}")
+            click.echo("curvature assumption:                  "
+                       + ("pass" if sosc_ok else f"FAIL ({sosc_failure})"))
             click.echo(f"reachability floor lambda_c:           {ctrl.lambda_c:.12g}")
             stage_summary = ", ".join(
                 "-" if t is None else str(t) for t in ctrl.t_stages
@@ -175,10 +190,13 @@ def convexify_cmd(problem, delta, fraction, output, n, mu1, mu2, gamma0, seed):
                 value = float(delta)
             except ValueError as exc:
                 raise ValidationError(f"--delta must be a number or 'auto': {delta!r}") from exc
-            gamma = reduced_hessian_gamma(qdp)
+            try:
+                gamma = gamma_bracket(qdp)[0]
+            except SoscFailed:
+                gamma = 0.0
             if value >= gamma > 0.0:
                 warnings.warn(
-                    f"shift {value:g} is at or above the sufficient bound gamma = {gamma:.6g}; "
+                    f"shift {value:g} is at or above the certified bound gamma = {gamma:.6g}; "
                     "positive definiteness is no longer guaranteed",
                     stacklevel=1,
                 )
@@ -225,7 +243,7 @@ def sensitivity(problem, stage, coord, output, fraction, as_json, n, mu1, mu2, g
             click.echo(json.dumps(summary))
         else:
             click.echo(f"perturbed stage {i}, coordinate {coord}")
-            click.echo(f"gamma = {result.gamma:.12g}, shift delta = {result.delta:.12g}")
+            click.echo(f"gamma (certified lower bound) = {result.gamma:.12g}, shift delta = {result.delta:.12g}")
             fitted = "n/a" if result.rho_fit is None else f"{result.rho_fit:.6g}"
             click.echo(f"fitted decay rate:      {fitted}")
             click.echo(f"certified decay rate:   {bounds.rho:.6g}")

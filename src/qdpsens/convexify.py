@@ -20,7 +20,9 @@ transformed stage Hessian to delta * I:
 For any shift delta strictly between zero and the reduced-curvature bound
 gamma, every Rt_k and every transformed stage Hessian is positive definite.
 Each stage runs the stage step of ``riccati.backward_pass`` with Qbar_{k+1}
-for K_{k+1}: Rt_k is its W_k, St_k its G_k and Qhat_k its X_k.
+for K_{k+1}: Rt_k is its W_k, St_k its G_k, and Qbar_k its next matrix
+minus delta I. The Qt_k are formed from the St and feedback stacks after
+the loop, which carries only Qbar.
 The quadratic-in-l constant block produced by the update is not stored; it
 moves no minimizer. Where a reported objective difference needs it (the
 equivalence cross-check in ``verify``), ``direction_constant`` rebuilds it
@@ -68,24 +70,11 @@ class ConvexifiedQdp:
     Qbar: tuple
     semidefinite: bool
     _source: QdpProblem
+    _qdp: QdpProblem
 
     def as_qdp(self) -> QdpProblem:
-        """Repackage as a plain stagewise program (dynamics unchanged)."""
-        src = self._source
-        stages = [
-            {
-                "Q": st.Qt,
-                "R": st.Rt,
-                "S": st.St,
-                "D1": st.Dt1,
-                "D2": st.Dt2,
-                "A": src.stages[k].A,
-                "B": src.stages[k].B,
-                "C": src.stages[k].C,
-            }
-            for k, st in enumerate(self.stages)
-        ]
-        return QdpProblem(self.dims, stages, self.terminal_Qt)
+        """The transformed blocks as a plain stagewise program (dynamics unchanged)."""
+        return self._qdp
 
     def direction_constant(self, l) -> float:
         """Quadratic-in-l constant dropped from the stored stage blocks.
@@ -128,7 +117,7 @@ def convexify(qdp: QdpProblem, delta: float) -> ConvexifiedQdp:
     shift = delta * np.eye(dims.nx)
     qbar = [None] * (dims.N + 1)
     qbar[dims.N] = symmetrize(qdp.terminal_Q - shift)
-    Qt, Rt, St = [None] * dims.N, [None] * dims.N, [None] * dims.N
+    Rt, St, P = [None] * dims.N, [None] * dims.N, [None] * dims.N
 
     def check_Rt(k: int, fact: SymSolve) -> None:
         if fact.min_abs_eig <= INVERTIBILITY_TOL * fact.max_abs_eig:
@@ -137,24 +126,27 @@ def convexify(qdp: QdpProblem, delta: float) -> ConvexifiedQdp:
             raise NotPositiveDefinite(k, fact.min_eig)
 
     for k in range(dims.N - 1, -1, -1):
-        fact, St[k], P, X = _stage_step(k, qdp.stages[k], qbar[k + 1], check_Rt)
+        fact, St[k], P[k], K = _stage_step(k, qdp.stages[k], qbar[k + 1], check_Rt)
         Rt[k] = fact.mat
-        Qt[k] = symmetrize(-St[k].T @ P) + shift
-        qbar[k] = symmetrize(symmetrize(X) - Qt[k])
+        qbar[k] = K - shift
 
+    Qt = symmetrize(-np.swapaxes(St, 1, 2) @ np.array(P)) + shift
     blocks = qdp.blocks
     C_qbar = np.swapaxes(blocks["C"], 1, 2) @ np.array(qbar[1:])
     Dt1 = blocks["D1"] + C_qbar @ blocks["A"]
     Dt2 = blocks["D2"] + C_qbar @ blocks["B"]
-    stages = tuple(map(ConvexifiedStage, Qt, Rt, St, Dt1, Dt2))
+    conv_qdp = QdpProblem._from_stacks(dims, {"Q": Qt, "R": Rt, "S": St, "D1": Dt1, "D2": Dt2, "A": blocks["A"],
+                                               "B": blocks["B"], "C": blocks["C"]}, shift)
+    out = conv_qdp.blocks
     return ConvexifiedQdp(
         dims=dims,
         delta=float(delta),
-        stages=stages,
+        stages=tuple(map(ConvexifiedStage, out["Q"], out["R"], out["S"], out["D1"], out["D2"])),
         terminal_Qt=shift,
         Qbar=tuple(qbar),
         semidefinite=(delta == 0.0),
         _source=qdp,
+        _qdp=conv_qdp,
     )
 
 

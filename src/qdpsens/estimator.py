@@ -38,11 +38,12 @@ class RiccatiSensitivityEstimator:
     Parameters
     ----------
     delta_fraction:
-        Fraction of the reduced-curvature bound used as the shift
+        Fraction of the certified reduced-curvature bound used as the shift
         parameter of the convexification, in (0, 1).
 
     After ``fit(qdp)`` the instance exposes ``factorization_`` (the one
-    ``Factorization`` every later call reads from), ``gamma_``, ``delta_``,
+    ``Factorization`` every later call reads from), ``gamma_`` (the certified
+    lower bound of its gamma bracket), ``delta_``,
     ``convexified_`` and ``riccati_`` taken from it, and ``n_features_in_``;
     ``predict`` maps rows of a direction array to stacked trajectories
     (p_0; q_0; ...; p_N), one row each.

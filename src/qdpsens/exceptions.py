@@ -12,13 +12,29 @@ class ValidationError(QdpSensError, ValueError):
 
 
 class SoscFailed(QdpSensError):
-    """The reduced Hessian has no positive lower bound at this point."""
+    """The reduced Hessian is not positive definite: the count at sigma = 0 is nonzero."""
 
-    def __init__(self, gamma: float):
-        self.gamma = gamma
+    def __init__(self, stage: int, min_eig: float):
+        self.stage = stage
+        self.min_eig = min_eig
         super().__init__(
-            f"second-order sufficient condition fails: reduced-Hessian "
-            f"lower bound gamma = {gamma:.6g} is not positive"
+            f"second-order sufficient condition fails: control weight W_k at "
+            f"stage {stage} of the unshifted cost-to-go recursion has eigenvalue "
+            f"{min_eig:.6g}, so gamma <= 0"
+        )
+
+
+class UncertainInertia(QdpSensError):
+    """Rounding in a control weight W_k can flip the sign the curvature count reads."""
+
+    def __init__(self, stage: int, min_eig: float, threshold: float):
+        self.stage = stage
+        self.min_eig = min_eig
+        self.threshold = threshold
+        super().__init__(
+            f"control weight at stage {stage} has eigenvalue {min_eig:.6g} within its "
+            f"rounding bound {threshold:.3e} (cost-to-go growth cancels in B' K B); "
+            f"the curvature count cannot certify gamma"
         )
 
 

@@ -223,6 +223,20 @@ class QdpProblem:
         self.stages = tuple(map(QdpStage, *self._blocks.values()))
         self.terminal_Q = as_symmetric(terminal_Q, dims.nx, "terminal_Q")
 
+    @classmethod
+    def _from_stacks(cls, dims: Dims, stacks: dict, terminal_Q) -> "QdpProblem":
+        """The same read-only, Q- and R-symmetrized stacks the constructor builds, from
+        (N, rows, cols) stacks the package computed itself, without the per-stage round trip."""
+        self = cls.__new__(cls)
+        self.dims = dims
+        blocks = {name: np.array(stacks[name], dtype=float) for name in _block_shapes(dims)}
+        for name in _SYMMETRIC_BLOCKS:
+            blocks[name] = symmetrize(blocks[name])
+        self._blocks = {name: _freeze(stack) for name, stack in blocks.items()}
+        self.stages = tuple(map(QdpStage, *self._blocks.values()))
+        self.terminal_Q = as_symmetric(terminal_Q, dims.nx, "terminal_Q")
+        return self
+
     @property
     def blocks(self) -> MappingProxyType:
         """Read-only mapping from block name (Q, R, S, D1, D2, A, B, C) to its (N, rows, cols) stack."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from ._linalg import inf_norm, sym_eigvals
+from ._linalg import inf_norm, sym_min_eig
 from .exceptions import ValidationError
 from .model import Dims, QdpProblem, _direction_parts, place_stage_blocks
 
@@ -104,5 +104,4 @@ def reduced_hessian_gamma(qdp: QdpProblem) -> float:
     zero_dir = np.zeros(qdp.dims.n_dir)
     Z = nullspace_basis(assemble_constraints(qdp, zero_dir)).Z
     H = qdp.full_hessian()
-    reduced = Z.T @ H @ Z
-    return float(sym_eigvals(reduced)[0])
+    return sym_min_eig(Z.T @ H @ Z)

@@ -24,6 +24,12 @@ def _f_exp_prime(d):
     return np.exp(d)
 
 
+def _frozen(rows) -> np.ndarray:
+    arr = np.array(rows, dtype=float)
+    arr.setflags(write=False)
+    return arr
+
+
 def tracking_toy_model(
     N: int,
     mu1: float,
@@ -60,6 +66,10 @@ def tracking_toy_model(
     else:
         raise ValidationError(f"unknown dynamics kind {dynamics_kind!r}")
     dims = Dims(N=N, nx=1, nu=1, nd=1)
+    # Constant derivative blocks, built once per model and shared read-only by every call.
+    zero, one = _frozen([[0.0]]), _frozen([[1.0]])
+    hessian_blocks = (_frozen([[-2.0 * mu2]]), zero, _frozen([[2.0 * mu1]]),
+                      _frozen([[2.0 * mu2]]), _frozen([[-2.0 * mu1]]))
 
     def stage_cost(k, x, u, d):
         return float(mu1 * (u[0] - d[0]) ** 2 - mu2 * (x[0] - d[0]) ** 2)
@@ -80,25 +90,15 @@ def tracking_toy_model(
         return np.array([-2.0 * mu2 * x[0]])
 
     def dynamics_jacobians(k, x, u, d):
-        return (
-            np.zeros((1, 1)),
-            np.ones((1, 1)),
-            np.array([[fprime(d[0])]]),
-        )
+        return zero, one, np.array([[fprime(d[0])]])
 
     def lagrangian_hessian(k, x, u, d, lam_k):
         # f depends on d only, so the multiplier contributes nothing to
         # these blocks (its f'' term lands in the pure-d corner).
-        return (
-            np.array([[-2.0 * mu2]]),
-            np.zeros((1, 1)),
-            np.array([[2.0 * mu1]]),
-            np.array([[2.0 * mu2]]),
-            np.array([[-2.0 * mu1]]),
-        )
+        return hessian_blocks
 
     def terminal_hessian(x):
-        return np.array([[-2.0 * mu2]])
+        return hessian_blocks[0]
 
     return NldpModel(
         dims=dims,

@@ -61,15 +61,16 @@ class RiccatiSolution:
 
 
 def _stage_step(k: int, st, K_next: np.ndarray, check):
-    """(fact, G, P, X): fact factorizes W = R + B' K_next B and goes to the
+    """(fact, G, P, K): fact factorizes W = R + B' K_next B and goes to the
     caller's typed ``check(k, fact)`` before use; G = B' K_next A + S,
-    P = -W^{-1} G, X = Q + A' K_next A. Each caller updates its own next matrix,
-    since one shared update rounds differently (1e-12 on recorded output)."""
+    P = -W^{-1} G, and K = sym(Q + A' K_next A + G' P) is the next matrix of
+    both recursions (``convexify`` subtracts its shift from it)."""
     BK = st.B.T @ K_next
     fact = SymSolve(st.R + BK @ st.B)
     check(k, fact)
     G = BK @ st.A + st.S
-    return fact, G, -fact.solve(G), st.Q + st.A.T @ K_next @ st.A
+    P = -fact.solve(G)
+    return fact, G, P, symmetrize(st.Q + st.A.T @ K_next @ st.A + G.T @ P)
 
 
 def backward_pass(qdp: QdpProblem) -> RiccatiSolution:
@@ -91,8 +92,7 @@ def backward_pass(qdp: QdpProblem) -> RiccatiSolution:
             raise IndefiniteW(k, fact.min_eig)
 
     for k in range(dims.N - 1, -1, -1):
-        solvers[k], G, P[k], X = _stage_step(k, qdp.stages[k], K[k + 1], check_W)
-        K[k] = symmetrize(X + G.T @ P[k])
+        solvers[k], _, P[k], K[k] = _stage_step(k, qdp.stages[k], K[k + 1], check_W)
 
     blocks = qdp.blocks
     P_stack, K_stack = np.array(P), np.array(K)

@@ -9,7 +9,8 @@ together with every constant of the exponential-decay certificate. One
 Riccati solution) is built per problem and shift, and both the trajectory
 and the certificate are read from it:
 
-    gamma                 reduced-curvature lower bound of the original data
+    gamma                 certified lower bound on the reduced curvature of the
+                          original data (the lo of ``curvature.gamma_bracket``)
     upsilon               largest block norm of the original data
     t, lambda_c           uniform reachability horizon and Gramian floor
     psi                   reachability-block norm bound sum_{i=1..t} upsilon^i
@@ -36,14 +37,14 @@ import numpy as np
 
 from ._linalg import max_operator_norm, symmetrize
 from .convexify import ConvexifiedQdp, convexify
+from .curvature import gamma_bracket
 from .exceptions import (
     ControllabilityFailed,
     InsufficientData,
-    SoscFailed,
     ValidationError,
 )
 from .model import Dims, NldpModel, QdpProblem, Trajectory, as_vector
-from .nullspace import reduced_hessian_gamma
+from .nullspace import reduced_hessian_gamma  # noqa: F401  (kept bound here: perfbench traces it by this module)
 from .riccati import RiccatiSolution, backward_pass, forward_solve
 
 DECAY_FLOOR = 1e-12
@@ -302,14 +303,17 @@ class BoundsReport:
 
 @dataclass(frozen=True)
 class Factorization:
-    """One problem factorized once: gamma, the shift delta in (0, gamma), the
-    convexified program (blocks and plain program) and its Riccati solution.
-    Every direction's sensitivity (``solve``) and the decay certificate
-    (``bounds``) are read from it. Build it with ``factorize``.
+    """One problem factorized once: the certified gamma bracket, the shift delta
+    in (0, gamma), the convexified program (blocks and plain program) and its
+    Riccati solution. ``gamma`` is the bracket's certified lower end, which
+    every consumer reads; ``gamma_hi`` is its upper end. Every direction's
+    sensitivity (``solve``) and the decay certificate (``bounds``) are read
+    from it. Build it with ``factorize``.
     """
 
     problem: QdpProblem
     gamma: float
+    gamma_hi: float
     delta: float
     convexified: ConvexifiedQdp
     convexified_qdp: QdpProblem
@@ -411,39 +415,39 @@ def _fraction_shift(delta_fraction: float):
 
 
 def _certified_shift(qdp: QdpProblem, shift) -> tuple:
-    """(gamma, delta): gamma with its SOSC check, delta = shift(gamma) checked inside (0, gamma)."""
-    gamma = reduced_hessian_gamma(qdp)
-    if gamma <= 0.0:
-        raise SoscFailed(gamma)
+    """(gamma, gamma_hi, delta): the certified bracket, whose count at sigma = 0 is the
+    SOSC check, and delta = shift(gamma) checked inside (0, gamma)."""
+    gamma, gamma_hi = gamma_bracket(qdp)
     delta = float(shift(gamma))
     if not 0.0 < delta < gamma:
         raise ValidationError(f"delta must lie in (0, gamma) = (0, {gamma:.6g}), got {delta}")
-    return gamma, delta
+    return gamma, gamma_hi, delta
 
 
 def _factorize(qdp: QdpProblem, shift) -> Factorization:
     """The certified shift, convexify, backward pass."""
-    gamma, delta = _certified_shift(qdp, shift)
+    gamma, gamma_hi, delta = _certified_shift(qdp, shift)
     conv = convexify(qdp, delta)
     conv_qdp = conv.as_qdp()
-    return Factorization(qdp, gamma, delta, conv, conv_qdp, backward_pass(conv_qdp))
+    return Factorization(qdp, gamma, gamma_hi, delta, conv, conv_qdp, backward_pass(conv_qdp))
 
 
 def select_delta(qdp: QdpProblem, fraction: float = 0.9) -> float:
-    """Shift as a fraction of the reduced-curvature bound gamma.
+    """Shift as a fraction of the certified reduced-curvature bound gamma.
 
     The sufficient interval is (0, gamma); pushing the shift close to gamma
     gives the transformed problem the largest certified curvature floor, so
-    the default sits at 0.9. Only gamma is computed.
+    the default sits at 0.9. Only the gamma bracket is computed.
     """
-    return _certified_shift(qdp, _fraction_shift(fraction))[1]
+    return _certified_shift(qdp, _fraction_shift(fraction))[2]
 
 
 def theoretical_constants(qdp: QdpProblem, delta: float, lambda_c: float | None = None,
                           t_max: int | None = None) -> BoundsReport:
     """Evaluate the full certificate chain for a fixed shift parameter.
 
-    Requires positive reduced curvature, delta strictly inside (0, gamma),
+    Requires positive reduced curvature, delta strictly inside (0, gamma) for
+    the certified lower bound gamma,
     and a passing reachability check (see ``Factorization.bounds``).
     """
     return _factorize(qdp, lambda gamma: delta).bounds(lambda_c, t_max)

@@ -29,8 +29,10 @@ class TestCheck:
         assert result.exit_code == 0, result.output
         report = json.loads(result.output)
         assert report["gamma"] == pytest.approx(9.0, abs=1e-9)
+        assert report["gamma"] <= 9.0 <= report["gamma_hi"] * (1.0 + 1e-12)
         assert report["t"] == 1
         assert report["sosc_pass"] and report["controllability_pass"]
+        assert "certified lower bound" in runner.invoke(main, ["check", "paper-sec7-linear"]).output
 
     def test_zero_input_matrix_fails(self, runner, tmp_path):
         dims = qs.Dims(N=3, nx=1, nu=1, nd=1)

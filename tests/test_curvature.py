@@ -1,0 +1,205 @@
+"""The certified gamma bracket: inertia counts, shifted solves, the guard, typed errors."""
+
+import dataclasses
+import json
+
+import numpy as np
+import pytest
+from click.testing import CliRunner
+
+import qdpsens as qs
+from qdpsens import curvature
+from qdpsens.cli import main
+
+
+@pytest.fixture(params=["dense estimate", "shifted solves"])
+def estimate_path(request, monkeypatch):
+    """Run a test once per estimate path: the dense reduced Hessian, then shifted solves alone."""
+    if request.param == "shifted solves":
+        monkeypatch.setattr(curvature, "_DENSE_ESTIMATE_MAX", -1)
+    return request.param
+
+
+def check_against_dense(qdp):
+    lo, hi = qs.gamma_bracket(qdp)
+    gamma = qs.reduced_hessian_gamma(qdp)
+    assert 0.0 < lo <= gamma <= hi * (1.0 + 1e-12)
+    assert hi - lo <= curvature.BRACKET_RTOL * hi
+    return lo, hi
+
+
+def expanding(N):
+    """A = 3I with one input: the unreachable mode grows K by 9 per stage; gamma is exactly 1."""
+    dims = qs.Dims(N=N, nx=2, nu=1, nd=1)
+    return qs.QdpProblem.constant(
+        dims, Q=5.0 * np.eye(2), R=[[1.0]], S=np.zeros((1, 2)), D1=np.zeros((1, 2)),
+        D2=[[0.0]], A=3.0 * np.eye(2), B=[[1.0], [1.0]], C=np.zeros((2, 1)),
+        terminal_Q=np.eye(2))
+
+
+class TestBracketHoldsDenseGamma:
+    def test_small_pool(self, small_pool, estimate_path):
+        for qdp in small_pool:
+            check_against_dense(qdp)
+
+    def test_square_pool(self, square_pool, estimate_path):
+        for qdp in square_pool:
+            check_against_dense(qdp)
+
+    def test_underactuated_pool(self, estimate_path):
+        pool = [qs.random_sosc_qdp(50 + seed, N=int(N), nx=4, nu=2, nd=2)
+                for seed, N in enumerate((3, 9, 17, 30))]
+        for qdp in pool:
+            check_against_dense(qdp)
+
+    def test_across_the_crossover(self):
+        """Kernel dimensions N * nu on both sides of the dense-estimate crossover."""
+        for N in (45, 55):
+            check_against_dense(qs.random_sosc_qdp(7, N=N, nx=4, nu=4, nd=2, square_controls=True))
+
+    @pytest.mark.parametrize("kind, N, mu1, mu2", [("linear", 40, 10.0, 1.0), ("exp", 7, 50.0, 10.0)])
+    def test_toy_models_equal_weight_gap(self, kind, N, mu1, mu2, estimate_path):
+        qdp = qs.assemble_qdp_from_nldp(qs.tracking_toy_model(N, mu1, mu2, kind))
+        lo, hi = check_against_dense(qdp)
+        assert lo == pytest.approx(mu1 - mu2, rel=1e-12, abs=0.0)
+        assert hi == pytest.approx(mu1 - mu2, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("N", [50, 200, 1000])
+    def test_chain_family_clears_its_floor(self, N):
+        """remark1's docstring proves gamma >= 4 gamma0 / 5; the dense value is checked where cheap."""
+        gamma0 = 1.0
+        qdp = qs.tridiagonal_chain_qdp(N, gamma0)
+        if N <= 200:
+            lo, hi = check_against_dense(qdp)
+        else:
+            lo, hi = qs.gamma_bracket(qdp)
+            assert hi - lo <= curvature.BRACKET_RTOL * hi
+        assert lo >= 0.8 * gamma0
+
+
+class TestCount:
+    def test_count_brackets_gamma(self, small_pool):
+        """A zero count below gamma, a nonzero one above it."""
+        for qdp in small_pool[:4]:
+            gamma = qs.reduced_hessian_gamma(qdp)
+            shifted = curvature._Shifted(qdp)
+            below, above = shifted.count(0.99 * gamma), shifted.count(1.01 * gamma)
+            assert below.stage is None and below.guard is None
+            assert above.stage is not None and above.guard is None
+            assert above.min_eig < 0.0
+
+    def test_shifted_solve_is_feasible(self, small_pool):
+        """The solve's vector is a rolled-out kernel vector whose Rayleigh quotient bounds gamma."""
+        for qdp in small_pool[:4]:
+            shifted = curvature._Shifted(qdp)
+            cp = shifted.count(0.5 * qs.reduced_hessian_gamma(qdp))
+            w = shifted.solver(cp)(np.ones(qdp.dims.n_z))
+            cs = qs.assemble_constraints(qdp, np.zeros(qdp.dims.n_dir))
+            assert cs.residual(w) <= 1e-10 * np.max(np.abs(w))
+            assert shifted.rayleigh(w) >= qs.reduced_hessian_gamma(qdp) * (1.0 - 1e-12)
+
+
+def _indefinite_at(stage, N=5):
+    """A = 0, B = 1, so W_k = R_k + Q_{k+1} = 3 at every stage but the chosen one, where it is -1."""
+    dims = qs.Dims(N=N, nx=1, nu=1, nd=1)
+    stages = [{"Q": [[2.0]], "R": [[-3.0 if k == stage else 1.0]], "S": [[0.0]], "D1": [[0.0]],
+               "D2": [[0.0]], "A": [[0.0]], "B": [[1.0]], "C": [[0.0]]} for k in range(N)]
+    return qs.QdpProblem(dims, stages, [[2.0]])
+
+
+_COUNT = curvature._Shifted.count
+
+
+class TestTypedErrors:
+    @pytest.mark.parametrize("stage", [0, 2, 4])
+    def test_sosc_failure_names_stage_and_eigenvalue(self, stage):
+        qdp = _indefinite_at(stage)
+        with pytest.raises(qs.SoscFailed) as info:
+            qs.gamma_bracket(qdp)
+        assert info.value.stage == stage
+        assert info.value.min_eig == pytest.approx(-1.0, abs=1e-12)
+        assert f"stage {stage}" in str(info.value)
+        with pytest.raises(qs.SoscFailed):
+            qs.factorize(qdp)
+
+    def test_sosc_failure_is_the_latest_failing_stage(self):
+        """The backward count stops at the latest stage whose W_k is not positive definite."""
+        dims = qs.Dims(N=2, nx=1, nu=1, nd=1)
+        qdp = qs.QdpProblem.constant(
+            dims, Q=[[-1.0]], R=[[-1.0]], S=[[0.0]], D1=[[0.0]], D2=[[0.0]],
+            A=[[0.0]], B=[[1.0]], C=[[1.0]], terminal_Q=[[-1.0]])
+        with pytest.raises(qs.SoscFailed) as info:
+            qs.gamma_bracket(qdp)
+        assert (info.value.stage, info.value.min_eig) == (1, -2.0)
+
+    @pytest.mark.parametrize("N", [20, 30, 40])
+    def test_expanding_dynamics_refused_with_stage(self, N, tmp_path):
+        """K grows 9^k, B' K B cancels, and the count's sign is rounding: the guard refuses.
+        No path returns a gamma other than the exact 1, and none reports SoscFailed."""
+        qdp = expanding(N)
+        with pytest.raises(qs.UncertainInertia) as info:
+            qs.gamma_bracket(qdp)
+        err = info.value
+        assert 0 <= err.stage < N
+        assert abs(err.min_eig) <= err.threshold
+        assert f"stage {err.stage}" in str(err)
+        with pytest.raises(qs.UncertainInertia):
+            qs.solve_sensitivity(qdp, qs.unit_direction(qdp.dims, -1, 1))
+        path = tmp_path / "expanding.json"
+        qs.save_qdp(qdp, path)
+        result = CliRunner().invoke(main, ["check", str(path), "--json"])
+        assert result.exit_code == 2
+        assert f"stage {err.stage}" in result.output
+
+    @staticmethod
+    def trip_guard_above(monkeypatch, ceiling):
+        def tripping(self, sigma):
+            cp = _COUNT(self, sigma)
+            return dataclasses.replace(cp, guard=(0, cp.min_eig, np.inf)) if sigma > ceiling else cp
+
+        monkeypatch.setattr(curvature._Shifted, "count", tripping)
+
+    def test_guard_near_gamma_stops_the_refinement(self, small_pool, monkeypatch, estimate_path):
+        """A guard that trips above 0.95 gamma stops the refinement short; the bracket
+        still holds gamma and its width reports where it stopped."""
+        for qdp in small_pool[:4]:
+            gamma = qs.reduced_hessian_gamma(qdp)
+            self.trip_guard_above(monkeypatch, 0.95 * gamma)
+            lo, hi = qs.gamma_bracket(qdp)
+            assert 0.0 < lo <= 0.95 * gamma
+            assert gamma <= hi * (1.0 + 1e-12)
+
+    def test_guard_at_every_positive_shift_is_refused(self, small_pool, monkeypatch):
+        """Only sigma = 0 certified leaves no positive lower bound: a typed error, not (0, hi)."""
+        self.trip_guard_above(monkeypatch, 0.0)
+        with pytest.raises(qs.UncertainInertia):
+            qs.gamma_bracket(small_pool[0])
+
+    def test_expanding_dynamics_certified_while_the_guard_is_clear(self):
+        lo, hi = qs.gamma_bracket(expanding(10))
+        assert lo <= 1.0 <= hi * (1.0 + 1e-12)
+        assert hi - lo <= curvature.BRACKET_RTOL * hi
+
+
+class TestConsumersReadLo:
+    def test_factorization_carries_the_bracket(self, square_pool):
+        for qdp in square_pool[:3]:
+            lo, hi = qs.gamma_bracket(qdp)
+            fac = qs.factorize(qdp, 0.9)
+            assert (fac.gamma, fac.gamma_hi) == (lo, hi)
+            assert fac.delta == 0.9 * lo
+            assert fac.bounds().gamma == lo
+            assert qs.select_delta(qdp, 0.9) == 0.9 * lo
+            assert qs.RiccatiSensitivityEstimator(0.9).fit(qdp).gamma_ == lo
+
+    def test_check_fails_sosc_by_the_count(self, tmp_path):
+        path = tmp_path / "indefinite.json"
+        qs.save_qdp(_indefinite_at(2, N=4), path)
+        result = CliRunner().invoke(main, ["check", str(path), "--json"])
+        assert result.exit_code == 1
+        report = json.loads(result.output)
+        assert not report["sosc_pass"]
+        assert report["gamma"] is None and report["gamma_hi"] is None
+        text = CliRunner().invoke(main, ["check", str(path)]).output
+        assert "FAIL" in text and "stage 2" in text
+

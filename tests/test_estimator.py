@@ -82,9 +82,9 @@ class TestFitPredict:
 
     def test_solve_direction_reuses_fit(self, fitted, tracking_linear_qdp_module, monkeypatch):
         def refuse(qdp):
-            raise AssertionError("reduced_hessian_gamma called after fit")
+            raise AssertionError("gamma_bracket called after fit")
 
-        monkeypatch.setattr(qs.sensitivity, "reduced_hessian_gamma", refuse)
+        monkeypatch.setattr(qs.sensitivity, "gamma_bracket", refuse)
         res = fitted.solve_direction(qs.unit_direction(tracking_linear_qdp_module.dims, 6, 1))
         assert res.gamma == fitted.gamma_
 

@@ -35,7 +35,7 @@ def count_calls(monkeypatch, *fns) -> dict:
     return counts
 
 
-FACTOR_STEPS = (qs.reduced_hessian_gamma, qs.convexify, qs.backward_pass)
+FACTOR_STEPS = (qs.gamma_bracket, qs.convexify, qs.backward_pass)
 
 
 @pytest.fixture(scope="module")
@@ -51,12 +51,12 @@ class TestFactorOnce:
         result = CliRunner().invoke(
             main, ["sensitivity", toy_file, "--stage", "5", "--json", "-o", str(tmp_path / "d.csv")])
         assert result.exit_code == 0, result.output
-        assert counts == {"reduced_hessian_gamma": 1, "convexify": 1, "backward_pass": 1}
+        assert counts == {"gamma_bracket": 1, "convexify": 1, "backward_pass": 1}
 
     def test_fit_factors_once(self, tracking_linear_qdp, monkeypatch):
         counts = count_calls(monkeypatch, *FACTOR_STEPS)
         est = qs.RiccatiSensitivityEstimator().fit(tracking_linear_qdp)
-        assert counts == {"reduced_hessian_gamma": 1, "convexify": 1, "backward_pass": 1}
+        assert counts == {"gamma_bracket": 1, "convexify": 1, "backward_pass": 1}
         fac = est.factorization_
         assert (est.gamma_, est.delta_) == (fac.gamma, fac.delta)
         assert est.convexified_ is fac.convexified and est.riccati_ is fac.riccati
@@ -72,7 +72,7 @@ class TestNoUnusedFactorization:
     def test_select_delta_computes_gamma_only(self, tracking_linear_qdp, monkeypatch):
         counts = count_calls(monkeypatch, *FACTOR_STEPS)
         qs.select_delta(tracking_linear_qdp)
-        assert counts == {"reduced_hessian_gamma": 1, "convexify": 0, "backward_pass": 0}
+        assert counts == {"gamma_bracket": 1, "convexify": 0, "backward_pass": 0}
 
     @pytest.mark.parametrize("delta", ["auto", "5.0"])
     def test_cli_convexify_runs_no_backward_pass(self, toy_file, tmp_path, monkeypatch, delta):
@@ -80,14 +80,14 @@ class TestNoUnusedFactorization:
         result = CliRunner().invoke(
             main, ["convexify", toy_file, "--delta", delta, "-o", str(tmp_path / "t.json")])
         assert result.exit_code == 0, result.output
-        assert counts == {"reduced_hessian_gamma": 1, "convexify": 1, "backward_pass": 0}
+        assert counts == {"gamma_bracket": 1, "convexify": 1, "backward_pass": 0}
 
     def test_equivalence_reads_the_factorization(self, small_pool, monkeypatch):
         counts = count_calls(monkeypatch, *FACTOR_STEPS)
         qdp = small_pool[0]
         rep = qs.verify_equivalence(qs.factorize(qdp), qs.unit_direction(qdp.dims, -1, 1))
         assert rep.passed
-        assert counts == {"reduced_hessian_gamma": 1, "convexify": 1, "backward_pass": 1}
+        assert counts == {"gamma_bracket": 1, "convexify": 1, "backward_pass": 1}
 
     def test_equivalence_fits_no_decay_rate(self, small_pool, monkeypatch):
         def no_fit(*args, **kwargs):
@@ -111,7 +111,7 @@ class TestDeltaFraction:
         result = CliRunner().invoke(main, ["sensitivity", toy_file, "--fraction", "1.5"])
         assert result.exit_code == 1
         assert "delta_fraction" in result.output
-        assert counts == {"reduced_hessian_gamma": 0, "convexify": 0, "backward_pass": 0}
+        assert counts == {"gamma_bracket": 0, "convexify": 0, "backward_pass": 0}
 
 
 class TestSharedStageStep:
@@ -173,11 +173,13 @@ class TestStackedBlockNorms:
 
 
 class TestCliRecordedOutput:
-    """``qdpsens sensitivity`` output recorded before the factor-once change (N=80, nx=nu=4)."""
+    """``qdpsens sensitivity`` output (N=80, nx=nu=4), recorded with gamma the certified
+    lower bound of the inertia bracket and one merged next-matrix update per stage.
+    It does not depend on the BLAS thread count."""
 
-    SUMMARY = {"stage": 40, "coord": 1, "gamma": 4.487311824754369,
-               "delta": 4.038580642278932, "rho_fit": 0.022710085605714556,
-               "rho_theory": 0.9999793363674101, "upsilon_pq": 5.633382824390183e+30}
+    SUMMARY = {"stage": 40, "coord": 1, "gamma": 4.487311824753207,
+               "delta": 4.0385806422778865, "rho_fit": 0.022710085605714716,
+               "rho_theory": 0.9999793363674101, "upsilon_pq": 5.633382824392543e+30}
 
     def test_summary_and_table_unchanged(self, tmp_path):
         qdp = qs.random_sosc_qdp(80, N=80, nx=4, nu=4, nd=2, square_controls=True)
