@@ -1,8 +1,6 @@
-"""Small dense linear-algebra helpers shared across modules.
-
-Operator norms and symmetric solves go through explicit eigendecompositions
-so that algebraically identical recursions in different modules produce
-bitwise-comparable results.
+"""Small dense linear-algebra helpers shared across modules: symmetric
+parts, operator norms by Gram eigensolves, and a smallest eigenvalue by one
+LAPACK ``syevr`` call.
 """
 
 from __future__ import annotations
@@ -12,7 +10,6 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg
 
-from .exceptions import ValidationError
 
 
 def symmetrize(mat: np.ndarray) -> np.ndarray:
@@ -76,46 +73,3 @@ def _syevr_workspace(n: int) -> tuple:
     if info != 0:
         raise np.linalg.LinAlgError(f"syevr workspace query failed (info={info})")
     return int(lwork), int(liwork)
-
-
-class SymSolve:
-    """Eigendecomposition-backed solver for a symmetric matrix.
-
-    Keeps the symmetrized matrix (``mat``) and its spectrum for definiteness
-    checks and applies the inverse through the same factorization, so callers
-    that must agree to tight per-entry tolerances share one numerical path.
-    The factorization is LAPACK ``syevr`` called with the arguments and
-    workspace of ``scipy.linalg.eigh``, whose eigenpairs it reproduces
-    bitwise, without that wrapper's per-call overhead.
-    """
-
-    def __init__(self, mat: np.ndarray):
-        mat = symmetrize(np.asarray(mat, dtype=float))
-        if not np.isfinite(mat).all():
-            raise ValidationError("symmetric solve requires finite entries")
-        lwork, liwork = _syevr_workspace(mat.shape[0])
-        self.eigvals, self._vecs, _, _, info = _SYEVR(mat, compute_v=1, range="A", lower=1,
-                                                      lwork=lwork, liwork=liwork)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"syevr failed (info={info})")
-        self.mat = mat
-
-    @property
-    def min_eig(self) -> float:
-        return float(self.eigvals[0])
-
-    @property
-    def min_abs_eig(self) -> float:
-        low = self.eigvals[0]
-        return float(low if low >= 0.0 else np.min(np.abs(self.eigvals)))
-
-    @property
-    def max_abs_eig(self) -> float:
-        return float(max(-self.eigvals[0], self.eigvals[-1]))
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        rhs = np.asarray(rhs, dtype=float)
-        squeeze = rhs.ndim == 1
-        rhs2 = rhs[:, None] if squeeze else rhs
-        out = self._vecs @ ((self._vecs.T @ rhs2) / self.eigvals[:, None])
-        return out[:, 0] if squeeze else out

@@ -19,10 +19,13 @@ transformed stage Hessian to delta * I:
 
 For any shift delta strictly between zero and the reduced-curvature bound
 gamma, every Rt_k and every transformed stage Hessian is positive definite.
-Each stage runs the stage step of ``riccati.backward_pass`` with Qbar_{k+1}
-for K_{k+1}: Rt_k is its W_k, St_k its G_k, and Qbar_k its next matrix
-minus delta I. The Qt_k are formed from the St and feedback stacks after
-the loop, which carries only Qbar.
+The recursion is the stage kernel ``riccati._sweep`` run on the stage
+Hessians with Q_k replaced by Q_k - delta I, from K_N = Q_N - delta I: Rt_k
+is its W_k, St_k its G_k, Qbar_k its K_k, and Rt_k^{-1} St_k its X_k. The
+solve is LAPACK ``sysv`` (symmetric indefinite), since at delta = 0 an
+invertible but indefinite Rt_k is accepted. Invertibility and, for
+delta > 0, definiteness are checked after the loop on the kernel's
+eigenvalues. The Qt_k are formed from the St and X stacks after the loop.
 The quadratic-in-l constant block produced by the update is not stored; it
 moves no minimizer. Where a reported objective difference needs it (the
 equivalence cross-check in ``verify``), ``direction_constant`` rebuilds it
@@ -35,16 +38,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import SymSolve, max_operator_norm, symmetrize
+from scipy.linalg import lapack
+
+from ._linalg import max_operator_norm, symmetrize
 from .exceptions import (
     NonInvertibleRtilde,
     NotPositiveDefinite,
     ValidationError,
 )
-from .model import Dims, QdpProblem, _direction_parts, _stage_hessians
-from .riccati import _stage_step
+from .model import Dims, QdpProblem, _direction_parts, _freeze, _stage_hessians
+from .riccati import _sweep
 
 INVERTIBILITY_TOL = 1e-12
+
+_SYSV = lapack.dsysv
 
 
 @dataclass(frozen=True)
@@ -61,13 +68,14 @@ class ConvexifiedStage:
 
 @dataclass(frozen=True)
 class ConvexifiedQdp:
-    """Output of the shifting recursion: transformed blocks plus the shifts."""
+    """Output of the shifting recursion: transformed blocks plus the shifts,
+    Qbar_0..Qbar_N as one read-only (N + 1, nx, nx) stack."""
 
     dims: Dims
     delta: float
     stages: tuple
     terminal_Qt: np.ndarray
-    Qbar: tuple
+    Qbar: np.ndarray
     semidefinite: bool
     _source: QdpProblem
     _qdp: QdpProblem
@@ -83,17 +91,14 @@ class ConvexifiedQdp:
         bordered update.
         """
         _, l_stages = _direction_parts(l, self.dims)
-        total = 0.0
-        for k, src in enumerate(self._source.stages):
-            v = src.C @ l_stages[k]
-            total += v @ self.Qbar[k + 1] @ v
-        return float(total)
+        v = self._source.blocks["C"] @ l_stages[:, :, None]
+        return float(np.sum(np.swapaxes(v, 1, 2) @ self.Qbar[1:] @ v))
 
     def max_block_norm(self) -> float:
         """Largest spectral norm over transformed cost blocks."""
-        stacks = [[getattr(st, name) for st in self.stages]
-                  for name in ("Qt", "Rt", "St", "Dt1", "Dt2")]
-        return max(max_operator_norm(blocks) for blocks in [[self.terminal_Qt], *stacks])
+        blocks = self._qdp.blocks
+        return max(max_operator_norm(stack) for stack in
+                   [[self.terminal_Qt], *(blocks[name] for name in ("Q", "R", "S", "D1", "D2"))])
 
     def to_json_dict(self) -> dict:
         data = self.as_qdp().to_json_dict()
@@ -114,36 +119,41 @@ def convexify(qdp: QdpProblem, delta: float) -> ConvexifiedQdp:
     if delta < 0:
         raise ValidationError(f"shift parameter must be >= 0, got {delta}")
     dims = qdp.dims
-    shift = delta * np.eye(dims.nx)
-    qbar = [None] * (dims.N + 1)
-    qbar[dims.N] = symmetrize(qdp.terminal_Q - shift)
-    Rt, St, P = [None] * dims.N, [None] * dims.N, [None] * dims.N
-
-    def check_Rt(k: int, fact: SymSolve) -> None:
-        if fact.min_abs_eig <= INVERTIBILITY_TOL * fact.max_abs_eig:
-            raise NonInvertibleRtilde(k, fact.min_abs_eig)
-        if delta > 0 and fact.min_eig < 0:
-            raise NotPositiveDefinite(k, fact.min_eig)
-
-    for k in range(dims.N - 1, -1, -1):
-        fact, St[k], P[k], K = _stage_step(k, qdp.stages[k], qbar[k + 1], check_Rt)
-        Rt[k] = fact.mat
-        qbar[k] = K - shift
-
-    Qt = symmetrize(-np.swapaxes(St, 1, 2) @ np.array(P)) + shift
+    nx = dims.nx
     blocks = qdp.blocks
-    C_qbar = np.swapaxes(blocks["C"], 1, 2) @ np.array(qbar[1:])
+    shift = delta * np.eye(nx)
+    H = qdp.stage_hessians()
+    H[:, :nx, :nx] -= shift
+    AB = np.concatenate([blocks["A"], blocks["B"]], axis=2)
+    F, qbar, X, stop, eigs = _sweep(H, AB, qdp.terminal_Q - shift, _SYSV)
+    magnitude = np.abs(eigs)
+    min_abs = magnitude.min(axis=1)
+    singular = min_abs <= INVERTIBILITY_TOL * magnitude.max(axis=1)
+    if stop is not None:
+        singular[0] = True
+    failed = np.flatnonzero(singular | ((delta > 0) & (eigs[:, 0] < 0)))
+    if failed.size:
+        j = failed[-1]
+        k = (stop or 0) + int(j)
+        if singular[j]:
+            raise NonInvertibleRtilde(k, float(min_abs[j]))
+        raise NotPositiveDefinite(k, float(eigs[j, 0]))
+
+    St = F[:, nx:, :nx]
+    Qt = symmetrize(np.swapaxes(St, 1, 2) @ X) + shift
+    qbar = _freeze(symmetrize(qbar))
+    C_qbar = np.swapaxes(blocks["C"], 1, 2) @ qbar[1:]
     Dt1 = blocks["D1"] + C_qbar @ blocks["A"]
     Dt2 = blocks["D2"] + C_qbar @ blocks["B"]
-    conv_qdp = QdpProblem._from_stacks(dims, {"Q": Qt, "R": Rt, "S": St, "D1": Dt1, "D2": Dt2, "A": blocks["A"],
-                                               "B": blocks["B"], "C": blocks["C"]}, shift)
+    conv_qdp = QdpProblem._from_stacks(dims, {"Q": Qt, "R": F[:, nx:, nx:], "S": St, "D1": Dt1, "D2": Dt2,
+                                               "A": blocks["A"], "B": blocks["B"], "C": blocks["C"]}, shift)
     out = conv_qdp.blocks
     return ConvexifiedQdp(
         dims=dims,
         delta=float(delta),
         stages=tuple(map(ConvexifiedStage, out["Q"], out["R"], out["S"], out["D1"], out["D2"])),
         terminal_Qt=shift,
-        Qbar=tuple(qbar),
+        Qbar=qbar,
         semidefinite=(delta == 0.0),
         _source=qdp,
         _qdp=conv_qdp,

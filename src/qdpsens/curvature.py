@@ -12,14 +12,15 @@ sum_k neg(W_k):
     every W_k positive definite  =>  gamma > sigma,
     some W_k not                 =>  gamma <= sigma.
 
-A pass is one such recursion ("count pass"): per stage one Cholesky solve
-(LAPACK ``posv``) of W_k against G_k = B_k' K_{k+1} A_k + S_k, and
-K_k = X_k - G_k' W_k^{-1} G_k. It stops at the first W_k that is not
-positive definite, since that alone decides the sign. At a zero
-count the same factorization solves the shifted problem with a linear term
-(an inverse-iteration step, p_0 still pinned; up to INNER_STEPS per pass). The solve's controls are
-rolled through the dynamics, so the vector is feasible and its Rayleigh
-quotient bounds gamma from above.
+A pass is one such recursion ("count pass"): the stage kernel
+``riccati._sweep`` on the shifted stage Hessians with the Cholesky solve
+(LAPACK ``posv``) of W_k against G_k = B_k' K_{k+1} A_k + S_k. It stops at
+the first W_k that is not positive definite, since that alone decides the
+sign. At a zero count the same factorization solves the shifted problem
+with a linear term (an inverse-iteration step, p_0 still pinned; up to
+INNER_STEPS per pass), with the gains -W_k^{-1} G_k the kernel returns. The
+solve's controls are rolled through the dynamics, so the vector is feasible
+and its Rayleigh quotient bounds gamma from above.
 
 ``gamma_bracket`` returns (lo, hi) with lo a shift at which a pass returned
 zero with its guard clear (a proven lower bound) and hi a Rayleigh quotient
@@ -41,11 +42,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .exceptions import SoscFailed, UncertainInertia, ValidationError
 from .model import QdpProblem
 from .nullspace import reduced_hessian_gamma
+from .riccati import _POSV, _sweep
 
 GUARD_UNITS = 16.0
 BRACKET_RTOL = 1e-10
@@ -61,7 +62,6 @@ INNER_STEPS = 2
 _DENSE_ESTIMATE_MAX = 200
 
 _EPS = np.finfo(float).eps
-_POSV = lapack.dposv
 
 
 @dataclass(frozen=True)
@@ -73,18 +73,19 @@ class CountPass:
     is the smallest eigenvalue of that W_k (of W_0 at a zero count).
     ``guard`` is None when rounding cannot flip any processed block's sign,
     else (stage, smallest eigenvalue, threshold) of the first block where it
-    can. W and G (= B' K A + S, shifted) are the stage stacks the solves reuse.
+    can. W and X (= W^{-1} G with G = B' K A + S, shifted) are the stage
+    stacks the solves reuse.
     """
 
     stage: int | None
     min_eig: float
     guard: tuple | None
     W: np.ndarray
-    G: np.ndarray
+    X: np.ndarray
 
 
 class _Shifted:
-    """Stacks of one problem shared by every pass: [A B], the stage Hessians, |B|_F^2."""
+    """Stacks of one problem shared by every pass: A, B, [A B], the stage Hessians, |B|_F^2."""
 
     def __init__(self, qdp: QdpProblem):
         dims = qdp.dims
@@ -92,7 +93,6 @@ class _Shifted:
         blocks = qdp.blocks
         self.A, self.B = blocks["A"], blocks["B"]
         self.AB = np.concatenate([self.A, self.B], axis=2)
-        self.AB_t = np.ascontiguousarray(np.swapaxes(self.AB, 1, 2))
         self.H = qdp.stage_hessians()
         self.QN = qdp.terminal_Q
         self.R = blocks["R"]
@@ -100,34 +100,22 @@ class _Shifted:
         self.eye_w, self.eye_x, self.eye_u = (np.eye(n) for n in (dims.nx + dims.nu, dims.nx, dims.nu))
 
     def count(self, sigma: float) -> CountPass:
-        """Run the shifted recursion from K_N = Q_N - sigma I down to W_0 (K_0 is not needed)."""
-        N, nx = self.dims.N, self.dims.nx
-        F = self.H - sigma * self.eye_w
-        K = np.empty((N + 1, nx, nx))
-        K[N] = self.QN - sigma * self.eye_x
-        stop = None
-        for k, AB, AB_t, Fk in zip(range(N - 1, -1, -1), self.AB[::-1], self.AB_t[::-1], F[::-1]):
-            Fk += AB_t @ (K[k + 1] @ AB)
-            G = Fk[nx:, :nx]
-            WG, info = _POSV(Fk[nx:, nx:], G, lower=1)[1:]
-            if info:
-                stop = k
-                break
-            if k:
-                np.subtract(Fk[:nx, :nx], G.T @ WG, out=K[k])
-        W, G = F[:, nx:, nx:], F[:, nx:, :nx]
+        """Run the shifted recursion from K_N = Q_N - sigma I down to K_0."""
+        nx = self.dims.nx
+        F, K, X, stop, eigs = _sweep(self.H - sigma * self.eye_w, self.AB, self.QN - sigma * self.eye_x, _POSV)
+        W = F[:, nx:, nx:]
         first = 0 if stop is None else stop
-        eigs = np.linalg.eigvalsh(W[first:])[:, 0]
+        low = eigs[:, 0]
         R_shift = self.R[first:] - sigma * self.eye_u
         scale = (np.sqrt(np.einsum("kij,kij->k", R_shift, R_shift))
                  + self.B_sq[first:] * np.sqrt(np.einsum("kij,kij->k", K[first + 1:], K[first + 1:])))
         threshold = GUARD_UNITS * _EPS * scale
-        unsafe = np.flatnonzero(~(np.abs(eigs) > threshold))
+        unsafe = np.flatnonzero(~(np.abs(low) > threshold))
         guard = None
         if unsafe.size:
             j = unsafe[-1]
-            guard = (first + int(j), float(eigs[j]), float(threshold[j]))
-        return CountPass(stop, float(eigs[0]), guard, W, G)
+            guard = (first + int(j), float(low[j]), float(threshold[j]))
+        return CountPass(stop, float(low[0]), guard, W, X)
 
     def solver(self, cp: CountPass):
         """Shifted solves at a zero-count pass: v -> kernel minimizer of w' (H - sigma I) w - 2 v' w.
@@ -141,7 +129,7 @@ class _Shifted:
         N, nx, nu = dims.N, dims.nx, dims.nu
         B = self.B
         W_inv = np.linalg.inv(cp.W)
-        P = -W_inv @ cp.G
+        P = -cp.X
         E = self.A + B @ P
         P_t, E_t, B_t = np.swapaxes(P, 1, 2), np.swapaxes(E, 1, 2), np.swapaxes(B, 1, 2)
 

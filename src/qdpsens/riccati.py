@@ -1,13 +1,24 @@
-"""Linear-time recursions: backward pass, batched forward reconstruction, cost-to-go.
+"""Linear-time recursions: the stage kernel, backward pass, batched forward reconstruction, cost-to-go.
 
-The backward pass produces the cost-to-go matrices K_k together with the
-control weights W_k = R_k + B_k' K_{k+1} B_k and feedback gains
-P_k = -W_k^{-1} (B_k' K_{k+1} A_k + S_k) by one stage step that
-``convexify`` shares; the closed-loop transitions E_k = A_k + B_k P_k,
-which no later stage step needs, are formed after the loop over the block
-stacks. Every function here does a fixed amount of work per stage; the
-closed-form state maps that check these recursions are oracles and live in
-``verify``.
+Three recursions of the package are one stage step on shifted stage
+Hessians H_k = [[Q_k, S_k'], [S_k, R_k]]: the cost-to-go recursion here,
+the shifting recursion of ``convexify`` and the inertia count of
+``curvature``. The kernel ``_sweep`` runs that step from K_N down to K_0,
+
+    F_k = H_k + [A_k B_k]' K_{k+1} [A_k B_k],
+    W_k = F_k[u, u],  G_k = F_k[u, x],  X_k = W_k^{-1} G_k,
+    K_k = F_k[x, x] - G_k' X_k,
+
+with one LAPACK solve per stage, the only thing its callers choose: a
+Cholesky solve (``posv``) where W_k must be positive definite, a symmetric
+indefinite solve (``sysv``) where it need only be invertible. Definiteness
+and finiteness are checked after the loop, over the stacks, by one stacked
+eigensolve; each caller maps a failure to its typed error at the first
+failing stage in backward order. Here the feedback gains are P_k = -X_k,
+the closed-loop transitions E_k = A_k + B_k P_k are formed over the stacks,
+and W_k^{-1} is formed once for every stage by one stacked inverse. Every
+function here does a fixed amount of work per stage; the closed-form state
+maps that check these recursions are oracles and live in ``verify``.
 
 Every direction shares that one factorization, and the minimizer is linear
 in the direction, so a block of m directions (the columns of L_k, nd x m)
@@ -28,7 +39,7 @@ term of the tail cost from stage k. The optimal control law is
 
     q_k(p_k) = P_k p_k + W_k^{-1} [B_k' (s_{k+1} - K_{k+1} C_k L_k) - D2_k' L_k],
 
-with one W_k solve per stage for the whole block.
+whose feedforward terms are one stacked product with the W_k^{-1} stack.
 """
 
 from __future__ import annotations
@@ -36,41 +47,75 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
-from ._linalg import SymSolve, asymmetry, inf_norm, symmetrize
+from ._linalg import asymmetry, inf_norm, symmetrize
 from .exceptions import IndefiniteW, ValidationError
-from .model import Dims, QdpProblem, Trajectory, _direction_parts
+from .model import Dims, QdpProblem, Trajectory, _direction_parts, _freeze
 
 W_MIN_EIG = 1e-12
+
+_POSV = lapack.dposv
+
+
+def _sweep(H: np.ndarray, AB: np.ndarray, K_N: np.ndarray, solve) -> tuple:
+    """(F, K, X, stop, eigs) of the stage step over (N, nx + nu, nx + nu) stage Hessians H
+    and the (N, nx, nx + nu) dynamics stack AB = [A_k B_k].
+
+    ``solve`` is a LAPACK ``posv`` or ``sysv`` routine, called with its
+    defaults, so it reads the upper triangle of W_k. The loop stops at the
+    first stage whose solve fails (``stop``; None when none does): F_k is
+    formed for k >= stop, K_k above it, and X (N, nu, nx) is returned only
+    after a full sweep (else None). A non-finite F_k or K_k raises
+    ``ValidationError``, ahead of any caller's check, naming the first such
+    stage in backward order.
+    ``eigs`` holds the ascending eigenvalues of W_first, ..., W_{N-1}, with
+    first = stop or 0, read from the same upper triangles.
+    """
+    N = H.shape[0]
+    nx = K_N.shape[0]
+    AB_t = np.ascontiguousarray(np.swapaxes(AB, 1, 2))
+    F = np.array(H)
+    K = np.zeros((N + 1, nx, nx))
+    K[N] = K_N
+    Xs = []
+    stop = None
+    stages = zip(range(N - 1, -1, -1), AB[::-1], AB_t[::-1], F[::-1], K[:0:-1], K[-2::-1],
+                 F[::-1, :nx, :nx], F[::-1, nx:, :nx], F[::-1, nx:, nx:])
+    for k, ABk, AB_tk, Fk, K_next, K_k, F_xx, G, W in stages:
+        Fk += AB_tk @ (K_next @ ABk)
+        *_, x, info = solve(W, G)
+        if info:
+            stop = k
+            break
+        np.subtract(F_xx, G.T @ x, out=K_k)
+        Xs.append(x)
+    first = stop or 0
+    if not np.isfinite(F[first:].sum() + K[first:].sum()):  # a finite sum can overflow: rescan by stage
+        finite = np.isfinite(F[first:]).all(axis=(1, 2)) & np.isfinite(K[first:N]).all(axis=(1, 2))
+        if not finite.all():
+            raise ValidationError(
+                f"non-finite entries in the Riccati recursion at stage {first + np.flatnonzero(~finite)[-1]}")
+    X = np.array(Xs[::-1]) if stop is None else None
+    return F, K, X, stop, np.linalg.eigvalsh(F[first:, nx:, nx:], UPLO="U")
 
 
 @dataclass(frozen=True)
 class RiccatiSolution:
-    """Backward-pass output; all lists are stage-indexed tuples."""
+    """Backward-pass output: read-only stage stacks K (N + 1, nx, nx), W and its
+    inverse W_inv (N, nu, nu), P (N, nu, nx) and E (N, nx, nx)."""
 
     dims: Dims
-    K: tuple
-    W: tuple
-    P: tuple
-    E: tuple
+    K: np.ndarray
+    W: np.ndarray
+    P: np.ndarray
+    E: np.ndarray
     closed_loop_identity_residual: float
-    _W_solvers: tuple
+    W_inv: np.ndarray
 
     def solve_W(self, k: int, rhs: np.ndarray) -> np.ndarray:
-        return self._W_solvers[k].solve(rhs)
-
-
-def _stage_step(k: int, st, K_next: np.ndarray, check):
-    """(fact, G, P, K): fact factorizes W = R + B' K_next B and goes to the
-    caller's typed ``check(k, fact)`` before use; G = B' K_next A + S,
-    P = -W^{-1} G, and K = sym(Q + A' K_next A + G' P) is the next matrix of
-    both recursions (``convexify`` subtracts its shift from it)."""
-    BK = st.B.T @ K_next
-    fact = SymSolve(st.R + BK @ st.B)
-    check(k, fact)
-    G = BK @ st.A + st.S
-    P = -fact.solve(G)
-    return fact, G, P, symmetrize(st.Q + st.A.T @ K_next @ st.A + G.T @ P)
+        """W_k^{-1} rhs, read from the W_inv stack."""
+        return self.W_inv[k] @ np.asarray(rhs, dtype=float)
 
 
 def backward_pass(qdp: QdpProblem) -> RiccatiSolution:
@@ -83,32 +128,32 @@ def backward_pass(qdp: QdpProblem) -> RiccatiSolution:
     K_k = E_k' K_{k+1} E_k + [I P_k']' H_k [I; P_k] as a cheap invariant.
     """
     dims = qdp.dims
-    K = [None] * (dims.N + 1)
-    P, solvers = [None] * dims.N, [None] * dims.N
-    K[dims.N] = qdp.terminal_Q.copy()
-
-    def check_W(k: int, fact: SymSolve) -> None:
-        if fact.min_eig <= W_MIN_EIG * fact.max_abs_eig:
-            raise IndefiniteW(k, fact.min_eig)
-
-    for k in range(dims.N - 1, -1, -1):
-        solvers[k], _, P[k], K[k] = _stage_step(k, qdp.stages[k], K[k + 1], check_W)
-
+    nx = dims.nx
     blocks = qdp.blocks
-    P_stack, K_stack = np.array(P), np.array(K)
-    E = blocks["A"] + blocks["B"] @ P_stack
-    basis = np.concatenate([np.broadcast_to(np.eye(dims.nx), (dims.N, dims.nx, dims.nx)), P_stack], axis=1)
-    rebuilt = (np.swapaxes(E, 1, 2) @ K_stack[1:] @ E
-               + np.swapaxes(basis, 1, 2) @ qdp.stage_hessians() @ basis)
-    worst = max(inf_norm(K_stack[:-1] - rebuilt), asymmetry(K_stack[:-1]))
+    H = qdp.stage_hessians()
+    AB = np.concatenate([blocks["A"], blocks["B"]], axis=2)
+    F, K, X, stop, eigs = _sweep(H, AB, qdp.terminal_Q, _POSV)
+    low = eigs[:, 0]
+    failed = low <= W_MIN_EIG * np.maximum(-low, eigs[:, -1])
+    if stop is not None:
+        failed[0] = True
+    if failed.any():
+        j = np.flatnonzero(failed)[-1]
+        raise IndefiniteW((stop or 0) + int(j), float(low[j]))
+
+    P, K, W = -X, symmetrize(K), symmetrize(F[:, nx:, nx:])
+    E = blocks["A"] + blocks["B"] @ P
+    basis = np.concatenate([np.broadcast_to(np.eye(nx), (dims.N, nx, nx)), P], axis=1)
+    rebuilt = np.swapaxes(E, 1, 2) @ K[1:] @ E + np.swapaxes(basis, 1, 2) @ H @ basis
+    worst = max(inf_norm(K[:-1] - rebuilt), asymmetry(K[:-1]))
     return RiccatiSolution(
         dims=dims,
-        K=tuple(K),
-        W=tuple(fact.mat for fact in solvers),
-        P=tuple(P),
-        E=tuple(E),
+        K=_freeze(K),
+        W=_freeze(W),
+        P=_freeze(P),
+        E=_freeze(E),
         closed_loop_identity_residual=worst,
-        _W_solvers=tuple(solvers),
+        W_inv=_freeze(np.linalg.inv(W)),
     )
 
 
@@ -119,8 +164,8 @@ def _influence_sweep(rs: RiccatiSolution, qdp: QdpProblem, lst: np.ndarray) -> t
     dims = qdp.dims
     blocks = qdp.blocks
     cl = blocks["C"] @ lst
-    kcl = np.array(rs.K[1:]) @ cl
-    source = np.swapaxes(blocks["D1"] + blocks["D2"] @ np.array(rs.P), 1, 2) @ lst
+    kcl = rs.K[1:] @ cl
+    source = np.swapaxes(blocks["D1"] + blocks["D2"] @ rs.P, 1, 2) @ lst
     s = np.zeros((dims.N + 1, dims.nx, lst.shape[2]))
     for k in range(dims.N - 1, -1, -1):
         s[k] = rs.E[k].T @ (s[k + 1] - kcl[k]) - source[k]
@@ -132,8 +177,9 @@ def forward_solve_block(rs: RiccatiSolution, qdp: QdpProblem, L: np.ndarray) -> 
 
     L holds one dense direction (l_{-1}; l_0; ...; l_{N-1}) per row. States
     come from rolling the dynamics under the optimal controls, so every row
-    is feasible by construction. The control drives and their W_k solves are
-    formed before the roll, which carries only the states.
+    is feasible by construction. The control drives and their W_k^{-1}
+    products are formed over the stacks before the roll, which carries only
+    the states.
     """
     dims = qdp.dims
     N, nx, nu = dims.N, dims.nx, dims.nu
@@ -142,7 +188,7 @@ def forward_solve_block(rs: RiccatiSolution, qdp: QdpProblem, L: np.ndarray) -> 
     s, cl, kcl = _influence_sweep(rs, qdp, lst)
     A, B, D2 = qdp.blocks["A"], qdp.blocks["B"], qdp.blocks["D2"]
     drive = np.swapaxes(B, 1, 2) @ (s[1:] - kcl) - np.swapaxes(D2, 1, 2) @ lst
-    feedforward = [rs.solve_W(k, rhs) for k, rhs in enumerate(drive)]
+    feedforward = rs.W_inv @ drive
     states = np.empty((N + 1, nx, m))
     controls = np.empty((N, nu, m))
     states[0] = L[:, :nx].T
@@ -179,8 +225,9 @@ def cost_to_go_terms(rs: RiccatiSolution, qdp: QdpProblem, l, k: int) -> CostToG
     The linear term is -2 s_k from the influence sweep, and the constant term
     follows the backward recursion
     T_j = T_{j+1} + l_j' C_j' K_{j+1} C_j l_j - 2 s_{j+1} . C_j l_j
-          - | (D2_j' + B_j' K_{j+1} C_j) l_j - B_j' s_{j+1} |^2_{W_j^{-1}}
-    and vanishes whenever all direction blocks from stage k on are zero.
+          - | (D2_j' + B_j' K_{j+1} C_j) l_j - B_j' s_{j+1} |^2_{W_j^{-1}},
+    summed over the stacks, and vanishes whenever all direction blocks from
+    stage k on are zero.
     """
     dims = qdp.dims
     if not 0 <= k <= dims.N:
@@ -188,16 +235,14 @@ def cost_to_go_terms(rs: RiccatiSolution, qdp: QdpProblem, l, k: int) -> CostToG
     if k == dims.N:
         return CostToGo(rs.K[dims.N].copy(), np.zeros(dims.nx), 0.0)
     _, l_stages = _direction_parts(l, dims)
-    s = _influence_sweep(rs, qdp, l_stages[:, :, None])[0][:, :, 0]
-    constant = 0.0
-    for j in range(dims.N - 1, k - 1, -1):
-        st = qdp.stages[j]
-        lj = l_stages[j]
-        cl = st.C @ lj
-        tprime = constant + cl @ rs.K[j + 1] @ cl - 2.0 * s[j + 1] @ cl
-        v = st.D2.T @ lj + st.B.T @ (rs.K[j + 1] @ cl) - st.B.T @ s[j + 1]
-        constant = tprime - float(v @ rs.solve_W(j, v))
-    return CostToGo(rs.K[k].copy(), -2.0 * s[k], constant)
+    lst = l_stages[:, :, None]
+    s, cl, kcl = _influence_sweep(rs, qdp, lst)
+    blocks = qdp.blocks
+    s_next, cl, kcl = s[k + 1:], cl[k:], kcl[k:]
+    v = (np.swapaxes(blocks["D2"][k:], 1, 2) @ lst[k:]
+         + np.swapaxes(blocks["B"][k:], 1, 2) @ (kcl - s_next))
+    terms = np.swapaxes(cl, 1, 2) @ (kcl - 2.0 * s_next) - np.swapaxes(v, 1, 2) @ rs.W_inv[k:] @ v
+    return CostToGo(rs.K[k].copy(), -2.0 * s[k, :, 0], float(terms.sum()))
 
 
 def cost_to_go(rs: RiccatiSolution, qdp: QdpProblem, l, k: int, p_k) -> float:

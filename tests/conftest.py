@@ -80,3 +80,18 @@ def random_direction(qdp, rng, kind: str = "any"):
     vec = rng.standard_normal(dims.n_dir)
     vec /= np.linalg.norm(vec)
     return qs.PerturbationDirection.from_dense(dims, vec)
+
+
+def planted(R_at, N=6, nu=2):
+    """A = 0, B = I, S = 0, Q = Q_N = 2I, so W_k = R_k + 2I; R_k = I except at the stages in R_at."""
+    eye, zero = np.eye(nu), np.zeros((nu, nu))
+    stages = [{"Q": 2.0 * eye, "R": R_at.get(k, eye), "S": zero, "D1": np.zeros((1, nu)),
+               "D2": np.zeros((1, nu)), "A": zero, "B": eye, "C": np.zeros((nu, 1))} for k in range(N)]
+    return qs.QdpProblem(qs.Dims(N=N, nx=nu, nu=nu, nd=1), stages, 2.0 * eye)
+
+
+def overflowing(N=3):
+    """K_N A = 1e320: the first stage step overflows although every entry is finite."""
+    return qs.QdpProblem.constant(
+        qs.Dims(N=N, nx=1, nu=1, nd=1), Q=[[1e160]], R=[[1.0]], S=[[0.0]], D1=[[0.0]], D2=[[0.0]],
+        A=[[1e160]], B=[[1.0]], C=[[0.0]], terminal_Q=[[1e160]])

@@ -5,7 +5,7 @@ import pytest
 
 import qdpsens as qs
 
-from conftest import random_direction
+from conftest import overflowing, planted, random_direction
 
 
 def min_stage_hessian_eig(conv):
@@ -192,6 +192,33 @@ class TestErrors:
         with pytest.raises(qs.NonInvertibleRtilde):
             qs.convexify(qdp, 18.0)  # places an exact zero eigenvalue in Rt
 
+    @pytest.mark.parametrize("stage", [0, 3, 5])
+    def test_near_singular_rt_is_named_after_the_loop(self, stage):
+        """Rt_stage = diag(1, 1e-13): the symmetric indefinite solve clears it and the stages
+        below finish; the check after the loop names the planted stage."""
+        with pytest.raises(qs.NonInvertibleRtilde) as err:
+            qs.convexify(planted({stage: np.diag([-1.0, -2.0 + 1e-13])}), 0.0)
+        assert err.value.stage == stage
+        assert err.value.min_abs_eig == pytest.approx(1e-13, rel=1e-2)
+
+    def test_indefinite_rt_accepted_at_zero_shift_only(self):
+        """B = 0 keeps Rt_k = R_k = diag(1, -1), invertible and indefinite at every stage."""
+        dims = qs.Dims(N=4, nx=1, nu=2, nd=1)
+        qdp = qs.QdpProblem.constant(
+            dims, Q=[[1.0]], R=np.diag([1.0, -1.0]), S=np.zeros((2, 1)), D1=[[0.0]], D2=np.zeros((1, 2)),
+            A=[[0.5]], B=np.zeros((1, 2)), C=[[0.0]], terminal_Q=[[1.0]])
+        conv = qs.convexify(qdp, 0.0)
+        assert conv.semidefinite
+        assert all(np.array_equal(st.Rt, np.diag([1.0, -1.0])) for st in conv.stages)
+        with pytest.raises(qs.NotPositiveDefinite) as err:
+            qs.convexify(qdp, 0.1)
+        assert (err.value.stage, err.value.min_eig) == (3, -1.0)
+
+    def test_overflow_in_the_recursion_is_a_validation_error(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(qs.ValidationError, match="stage 2"):
+                qs.convexify(overflowing(), 0.0)
+
     def test_negative_delta_rejected(self, small_pool):
         with pytest.raises(qs.ValidationError):
             qs.convexify(small_pool[0], -0.1)
@@ -225,6 +252,16 @@ class TestEquivalence:
             assert rep.offset_error <= 1e-8
             assert rep.expected_offset == pytest.approx(
                 -float(l.l_minus1 @ fac.convexified.Qbar[0] @ l.l_minus1), rel=1e-12, abs=1e-12)
+
+    def test_direction_constant_equals_stage_loop(self, small_pool):
+        """One stacked contraction in place of the per-stage sum; only the summation order differs."""
+        rng = np.random.default_rng(10)
+        for qdp in small_pool:
+            conv = qs.factorize(qdp).convexified
+            l = random_direction(qdp, rng)
+            loop = sum(float((st.C @ lk) @ conv.Qbar[k + 1] @ (st.C @ lk))
+                       for k, (st, lk) in enumerate(zip(qdp.stages, l.l_stages)))
+            assert conv.direction_constant(l) == pytest.approx(loop, rel=1e-12, abs=1e-14)
 
 
 def _sym(rng, n):

@@ -11,6 +11,8 @@ import qdpsens as qs
 from qdpsens import curvature
 from qdpsens.cli import main
 
+from conftest import overflowing
+
 
 @pytest.fixture(params=["dense estimate", "shifted solves"])
 def estimate_path(request, monkeypatch):
@@ -150,6 +152,18 @@ class TestTypedErrors:
         result = CliRunner().invoke(main, ["check", str(path), "--json"])
         assert result.exit_code == 2
         assert f"stage {err.stage}" in result.output
+
+    @pytest.mark.parametrize("N, stage", [(20, 3), (30, 13), (40, 23)])
+    def test_expanding_dynamics_names_a_fixed_stage(self, N, stage):
+        """The first block the guard cannot sign, in backward order, as the per-stage count named it."""
+        with pytest.raises(qs.UncertainInertia) as info:
+            qs.gamma_bracket(expanding(N))
+        assert info.value.stage == stage
+
+    def test_overflow_in_a_count_pass_is_a_validation_error(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(qs.ValidationError, match="stage 2"):
+                curvature._Shifted(overflowing()).count(0.0)
 
     @staticmethod
     def trip_guard_above(monkeypatch, ceiling):

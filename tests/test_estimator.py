@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qdpsens as qs
+from qdpsens import riccati
 
 
 @pytest.fixture(scope="module")
@@ -139,20 +140,19 @@ class TestBatchedPredict:
             assert np.array_equal(a, b)
             assert np.array_equal(a, c)
 
-    def test_one_W_solve_per_stage(self, fitted_pool, monkeypatch):
-        """A per-row loop would solve with W_k N * n_dir times instead of N."""
-        calls = []
-        solve_W = qs.RiccatiSolution.solve_W
-
-        def counting(rs, k, rhs):
-            calls.append(k)
-            return solve_W(rs, k, rhs)
-
-        monkeypatch.setattr(qs.RiccatiSolution, "solve_W", counting)
+    def test_no_W_solve_per_row_or_stage(self, fitted_pool, monkeypatch):
+        """One predict of any width is one influence sweep; W_k^{-1} is applied as one
+        stacked product, never by a per-row or per-stage solve."""
+        sweeps, solves = [], []
+        influence_sweep, solve_W = riccati._influence_sweep, qs.RiccatiSolution.solve_W
+        monkeypatch.setattr(riccati, "_influence_sweep", lambda *a: sweeps.append(1) or influence_sweep(*a))
+        monkeypatch.setattr(qs.RiccatiSolution, "solve_W",
+                            lambda rs, k, rhs: solves.append(k) or solve_W(rs, k, rhs))
         for qdp, est in fitted_pool:
-            calls.clear()
-            est.predict(np.eye(qdp.dims.n_dir))
-            assert sorted(calls) == list(range(qdp.dims.N))
+            for width in (1, qdp.dims.n_dir):
+                sweeps.clear()
+                est.predict(np.eye(qdp.dims.n_dir)[:width])
+                assert (len(sweeps), solves) == (1, [])
 
 
 class TestValidation:

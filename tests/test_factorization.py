@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import qdpsens as qs
-from qdpsens import riccati
+from qdpsens import curvature, riccati
 from qdpsens._linalg import max_operator_norm, operator_norm
 from qdpsens.cli import main
 
@@ -114,19 +114,24 @@ class TestDeltaFraction:
         assert counts == {"gamma_bracket": 0, "convexify": 0, "backward_pass": 0}
 
 
-class TestSharedStageStep:
-    def test_one_step_per_stage(self, small_pool, monkeypatch):
-        """convexify and backward_pass each run the shared step once per stage."""
-        counts = count_calls(monkeypatch, riccati._stage_step)
+class TestSharedKernel:
+    def test_one_sweep_per_call(self, small_pool, monkeypatch):
+        """convexify, backward_pass and each inertia count pass run the shared kernel exactly once."""
+        counts = count_calls(monkeypatch, riccati._sweep)
+        passes = []
+        count = curvature._Shifted.count
+        monkeypatch.setattr(curvature._Shifted, "count",
+                            lambda shifted, sigma: passes.append(sigma) or count(shifted, sigma))
         for qdp in small_pool:
-            N = qdp.dims.N
-            before = counts["_stage_step"]
+            before = counts["_sweep"]
             conv = qs.convexify(qdp, 0.5 * qs.reduced_hessian_gamma(qdp))
-            assert counts["_stage_step"] - before == N
+            assert counts["_sweep"] - before == 1
             qs.backward_pass(conv.as_qdp())
-            assert counts["_stage_step"] - before == 2 * N
+            assert counts["_sweep"] - before == 2
+            passes.clear()
             qs.factorize(qdp)
-            assert counts["_stage_step"] - before == 4 * N
+            assert passes
+            assert counts["_sweep"] - before == 4 + len(passes)
 
 
 def _per_block_max(blocks) -> float:
@@ -174,12 +179,12 @@ class TestStackedBlockNorms:
 
 class TestCliRecordedOutput:
     """``qdpsens sensitivity`` output (N=80, nx=nu=4), recorded with gamma the certified
-    lower bound of the inertia bracket and one merged next-matrix update per stage.
-    It does not depend on the BLAS thread count."""
+    lower bound of the inertia bracket and every stage recursion on the shared stage
+    kernel. It does not depend on the BLAS thread count."""
 
     SUMMARY = {"stage": 40, "coord": 1, "gamma": 4.487311824753207,
-               "delta": 4.0385806422778865, "rho_fit": 0.022710085605714716,
-               "rho_theory": 0.9999793363674101, "upsilon_pq": 5.633382824392543e+30}
+               "delta": 4.0385806422778865, "rho_fit": 0.022710085605720184,
+               "rho_theory": 0.9999793363674101, "upsilon_pq": 5.633382824390683e+30}
 
     def test_summary_and_table_unchanged(self, tmp_path):
         qdp = qs.random_sosc_qdp(80, N=80, nx=4, nu=4, nd=2, square_controls=True)

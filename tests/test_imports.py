@@ -47,9 +47,9 @@ def test_helper_sees_nested_and_package_imports():
     assert ("riccati", "backward_pass") in edges
 
 
-def test_convexify_takes_only_the_stage_step_from_riccati():
+def test_convexify_takes_only_the_kernel_from_riccati():
     edges = imports_of("convexify")
-    assert {name for target, name in edges if target == "riccati"} == {"_stage_step"}
+    assert {name for target, name in edges if target == "riccati"} == {"_sweep"}
     assert "verify" not in modules_imported_by("convexify")
     assert ("model", "eval_qdp_objective") not in edges
 

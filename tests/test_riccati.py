@@ -7,7 +7,7 @@ import qdpsens as qs
 from qdpsens import materialize_influence
 from qdpsens.riccati import _influence_sweep, forward_solve_block
 
-from conftest import random_direction
+from conftest import overflowing, planted, random_direction
 
 
 def one_step_chain():
@@ -15,6 +15,10 @@ def one_step_chain():
     return qs.QdpProblem.constant(
         dims, Q=[[1.0]], R=[[1.0]], S=[[0.0]], D1=[[0.0]], D2=[[0.0]],
         A=[[1.0]], B=[[1.0]], C=[[0.0]], terminal_Q=[[1.0]])
+
+
+# W_k = diag(1, 1e-14): a Cholesky solve clears it, the relative floor W_MIN_EIG does not.
+BELOW_FLOOR = np.diag([-1.0, -2.0 + 1e-14])
 
 
 def convexified(qdp, fraction=0.9):
@@ -71,6 +75,32 @@ class TestBackwardPass:
         with pytest.raises(qs.IndefiniteW) as err:
             qs.backward_pass(qdp)
         assert err.value.min_eig < 0
+
+    @pytest.mark.parametrize("stage", [0, 3, 5])
+    def test_indefinite_w_names_its_stage(self, stage):
+        with pytest.raises(qs.IndefiniteW) as err:
+            qs.backward_pass(planted({stage: np.diag([-3.0, 1.0])}))
+        assert (err.value.stage, err.value.min_eig) == (stage, pytest.approx(-1.0, abs=1e-12))
+
+    @pytest.mark.parametrize("stage", [0, 3, 5])
+    def test_w_below_its_floor_is_named_after_the_loop(self, stage):
+        """Every solve succeeds and the stages below the planted one finish; the check
+        after the loop still names the planted stage."""
+        with pytest.raises(qs.IndefiniteW) as err:
+            qs.backward_pass(planted({stage: BELOW_FLOOR}))
+        assert err.value.stage == stage
+        assert 0.0 < err.value.min_eig <= qs.riccati.W_MIN_EIG
+
+    def test_first_failing_stage_in_backward_order_is_named(self):
+        qdp = planted({1: np.diag([-3.0, 1.0]), 4: BELOW_FLOOR})
+        with pytest.raises(qs.IndefiniteW) as err:
+            qs.backward_pass(qdp)
+        assert err.value.stage == 4
+
+    def test_overflow_in_the_recursion_is_a_validation_error(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(qs.ValidationError, match="stage 2"):
+                qs.backward_pass(overflowing())
 
     def test_k_energy_monotone_along_closed_loop(self, small_pool):
         """With semidefinite transformed Hessians the cost-to-go energy of
