@@ -1,7 +1,8 @@
 """Certified reduced-curvature bracket from the inertia of a shifted cost-to-go recursion.
 
 gamma = lambda_min(Z' H Z) over an orthonormal kernel basis Z of the
-constraints is never formed here. Pin p_0 = 0 and run the cost-to-go
+constraints is certified here without the constraint Jacobian or any
+n_z x n_z matrix. Pin p_0 = 0 and run the cost-to-go
 recursion of ``riccati.backward_pass`` on the shifted data Q_k - sigma I,
 R_k - sigma I and Q_N - sigma I. The reduced form of H - sigma I is then a
 sum of W_k-weighted squares under a unit-triangular change of the control
@@ -16,25 +17,34 @@ A pass is one such recursion ("count pass"): the stage kernel
 ``riccati._sweep`` on the shifted stage Hessians with the Cholesky solve
 (LAPACK ``posv``) of W_k against G_k = B_k' K_{k+1} A_k + S_k. It stops at
 the first W_k that is not positive definite, since that alone decides the
-sign. At a zero count the same factorization solves the shifted problem
-with a linear term (an inverse-iteration step, p_0 still pinned; up to
-INNER_STEPS per pass), with the gains -W_k^{-1} G_k the kernel returns. The
-solve's controls are rolled through the dynamics, so the vector is feasible
-and its Rayleigh quotient bounds gamma from above.
+sign. At a zero count the gains X_k = W_k^{-1} G_k of the pass give the
+closed loop E_k = A_k - B_k X_k, through which every upper-bound vector is
+rolled from p_0 = 0: its controls are q_k = v_k - X_k p_k for a
+feedforward v, so the vector is feasible, rounding is not amplified on
+expanding dynamics, and its Rayleigh quotient bounds gamma from above.
 
 ``gamma_bracket`` returns (lo, hi) with lo a shift at which a pass returned
 zero with its guard clear (a proven lower bound) and hi a Rayleigh quotient
 or a shift with a nonzero count (an upper bound). The estimate that places
 the shifts comes from one of two paths chosen by the kernel dimension
-N * nu: the dense reduced Hessian up to ``_DENSE_ESTIMATE_MAX``, shifted
-solves and bisection above it. Both end in the same count pass.
+N * nu. Up to ``_DENSE_ESTIMATE_MAX`` it is the smallest eigenpair of the
+reduced Hessian over an orthonormal basis of the control-to-trajectory map
+(``_Shifted.estimate``): one closing pass just below the eigenvalue, and
+the eigenvector, rolled through that pass's closed loop, gives hi. Above
+it, shifted solves (inverse iteration with a linear term, up to
+INNER_STEPS per pass) and bisection place the shifts; they are also the
+fallback when the closing pass does not close the bracket.
 
 Guard. W_k = R_k - sigma I + B_k' K_{k+1} B_k cancels when K grows, and
 then its sign is rounding. Each pass compares every processed block's
-smallest |eigenvalue| with GUARD_UNITS * eps * (|R_k - sigma I| +
-|B_k|^2 |K_{k+1}|) in Frobenius norms. At sigma = 0 a block under its
+smallest |eigenvalue| with riccati.GUARD_UNITS * eps * (|R_k - sigma I| +
+|B_k|^2 |K_{k+1}|) in Frobenius norms (``riccati._rounding_guard``, the
+rule ``backward_pass`` applies too). At sigma = 0 a block under its
 threshold raises ``UncertainInertia`` naming the stage; at a positive shift
-it stops the refinement and the bracket width reports where.
+it stops the refinement and the bracket width reports where. The guard
+bounds the rounding of W_k's own sum, not what accumulates in K along the
+recursion: near gamma a count can still read rounding (README, "Certified
+gamma").
 """
 
 from __future__ import annotations
@@ -42,26 +52,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
-from .exceptions import SoscFailed, UncertainInertia, ValidationError
+from .exceptions import SoscFailed, UncertainInertia
 from .model import QdpProblem
-from .nullspace import reduced_hessian_gamma
-from .riccati import _POSV, _sweep
+from .riccati import _POSV, _rounding_guard, _sweep
 
-GUARD_UNITS = 16.0
 BRACKET_RTOL = 1e-10
 # Relative gaps below the estimate at which the closing pass is tried, the
-# second when the guard stops the first.
+# second when the guard stops the first (or, below an eigenpair estimate,
+# when the first count is nonzero).
 FINAL_GAPS = (2.5e-13, 2.5e-11)
 # A Rayleigh quotient that moves less than this (relative) has settled.
 SETTLE_RTOL = 1e-12
 MAX_PASSES = 100
 INNER_STEPS = 2
-# Kernel dimension N * nu up to which the dense reduced Hessian places the
-# closing shift; above it, shifted solves do (measured crossover, CHANGES.md).
+# Kernel dimension N * nu up to which the reduced Hessian over the
+# control-to-trajectory map places the closing shift; above it, shifted
+# solves do (measured crossover, CHANGES.md).
 _DENSE_ESTIMATE_MAX = 200
-
-_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -85,7 +94,7 @@ class CountPass:
 
 
 class _Shifted:
-    """Stacks of one problem shared by every pass: A, B, [A B], the stage Hessians, |B|_F^2."""
+    """Stacks of one problem shared by every pass: A, B, [A B], R and the stage Hessians."""
 
     def __init__(self, qdp: QdpProblem):
         dims = qdp.dims
@@ -96,58 +105,99 @@ class _Shifted:
         self.H = qdp.stage_hessians()
         self.QN = qdp.terminal_Q
         self.R = blocks["R"]
-        self.B_sq = np.einsum("kij,kij->k", self.B, self.B)
         self.eye_w, self.eye_x, self.eye_u = (np.eye(n) for n in (dims.nx + dims.nu, dims.nx, dims.nu))
 
     def count(self, sigma: float) -> CountPass:
         """Run the shifted recursion from K_N = Q_N - sigma I down to K_0."""
         nx = self.dims.nx
         F, K, X, stop, eigs = _sweep(self.H - sigma * self.eye_w, self.AB, self.QN - sigma * self.eye_x, _POSV)
-        W = F[:, nx:, nx:]
         first = 0 if stop is None else stop
         low = eigs[:, 0]
-        R_shift = self.R[first:] - sigma * self.eye_u
-        scale = (np.sqrt(np.einsum("kij,kij->k", R_shift, R_shift))
-                 + self.B_sq[first:] * np.sqrt(np.einsum("kij,kij->k", K[first + 1:], K[first + 1:])))
-        threshold = GUARD_UNITS * _EPS * scale
-        unsafe = np.flatnonzero(~(np.abs(low) > threshold))
-        guard = None
-        if unsafe.size:
-            j = unsafe[-1]
-            guard = (first + int(j), float(low[j]), float(threshold[j]))
-        return CountPass(stop, float(low[0]), guard, W, X)
+        guard = _rounding_guard(low, self.R[first:] - sigma * self.eye_u, self.B[first:], K[first + 1:], first)
+        return CountPass(stop, float(low[0]), guard, F[:, nx:, nx:], X)
+
+    def estimate(self) -> tuple:
+        """(gamma estimate, its stacked kernel vector) from the control-to-trajectory map.
+
+        T (n_z x N nu) maps the controls to (p_0; q_0; ...; p_N) with p_0 = 0 and
+        p_{k+1} = A_k p_k + B_k q_k, so its range is the kernel of the
+        constraints. One thin QR of T without its p_0 rows gives an orthonormal
+        basis Q; Q' H Q is summed over the block-diagonal stage Hessians, and
+        one ``syevr`` call gives its smallest eigenpair. The estimate is nan
+        when T overflows or the eigensolver fails; the count then decides alone.
+        """
+        dims = self.dims
+        N, nx, nu = dims.N, dims.nx, dims.nu
+        width, m = nx + nu, N * nu
+        T = np.zeros((dims.n_z, m))
+        body = T[:N * width].reshape(N, width, m)
+        cols = np.arange(m)
+        body[cols // nu, nx + cols % nu, cols] = 1.0
+        prev = None
+        for k, (A_k, B_k, state) in enumerate(zip(self.A, self.B, [*body[1:, :nx], T[N * width:]])):
+            if k:
+                state[:, :k * nu] = A_k @ prev[:, :k * nu]
+            state[:, k * nu:(k + 1) * nu] = B_k
+            prev = state
+        if not np.isfinite(T.sum()):
+            return np.nan, None
+        qr, tau, *_ = lapack.dgeqrf(T[nx:])
+        Q = np.zeros((dims.n_z, m))
+        Q[nx:], *_ = lapack.dorgqr(qr, tau)
+        Q_body = Q[:N * width].reshape(N, width, m)
+        Q_tail = Q[N * width:]
+        reduced = (Q[:N * width].T @ (self.H @ Q_body).reshape(N * width, m)
+                   + Q_tail.T @ (self.QN @ Q_tail))
+        value, vector, _, _, info = lapack.dsyevr(reduced, range="I", il=1, iu=1)
+        if info:
+            return np.nan, None
+        return float(value[0]), Q @ vector[:, 0]
+
+    def roll(self, E: np.ndarray, X: np.ndarray, feedforward: np.ndarray) -> np.ndarray:
+        """Stacked (p_0; q_0; ...; p_N) of the controls q_k = feedforward_k - X_k p_k
+        rolled from p_0 = 0 through the closed loop E_k = A_k - B_k X_k."""
+        N, nx = self.dims.N, self.dims.nx
+        push = (self.B @ feedforward[:, :, None])[:, :, 0]
+        p = [np.zeros(nx)]
+        for E_k, push_k in zip(E, push):
+            p.append(E_k @ p[-1] + push_k)
+        p = np.array(p)
+        q = feedforward - (X @ p[:N, :, None])[:, :, 0]
+        return np.concatenate([np.concatenate([p[:N], q], axis=1).reshape(-1), p[N]])
+
+    def reroll(self, cp: CountPass, w: np.ndarray) -> np.ndarray:
+        """w rolled again through the closed loop of a zero-count pass: the feedforward
+        v_k = q_k + X_k p_k of its own states and controls."""
+        dims = self.dims
+        body = w[:dims.N * (dims.nx + dims.nu)].reshape(dims.N, dims.nx + dims.nu)
+        p, q = body[:, :dims.nx], body[:, dims.nx:]
+        return self.roll(self.A - self.B @ cp.X, cp.X, q + (cp.X @ p[:, :, None])[:, :, 0])
 
     def solver(self, cp: CountPass):
         """Shifted solves at a zero-count pass: v -> kernel minimizer of w' (H - sigma I) w - 2 v' w.
 
         Tail costs are p' K_k p - 2 s_k' p with s_N = a_N and
-        s_k = a_k + P_k' b_k + E_k' s_{k+1}, where (a; b) are the state and
-        control parts of v. The controls q_k = P_k p_k + W_k^{-1} (b_k + B_k' s_{k+1})
-        are rolled from p_0 = 0, and the result is stacked as (p_0; q_0; ...; p_N).
+        s_k = a_k - X_k' b_k + E_k' s_{k+1}, where (a; b) are the state and
+        control parts of v. The controls q_k = W_k^{-1} (b_k + B_k' s_{k+1}) - X_k p_k
+        are rolled from p_0 = 0.
         """
         dims = self.dims
         N, nx, nu = dims.N, dims.nx, dims.nu
         B = self.B
         W_inv = np.linalg.inv(cp.W)
-        P = -cp.X
-        E = self.A + B @ P
-        P_t, E_t, B_t = np.swapaxes(P, 1, 2), np.swapaxes(E, 1, 2), np.swapaxes(B, 1, 2)
+        X = cp.X
+        E = self.A - B @ X
+        X_t, E_t, B_t = np.swapaxes(X, 1, 2), np.swapaxes(E, 1, 2), np.swapaxes(B, 1, 2)
 
         def solve(v: np.ndarray) -> np.ndarray:
             body = v[:N * (nx + nu)].reshape(N, nx + nu, 1)
             a, b = body[:, :nx], body[:, nx:]
-            drive = (a + P_t @ b)[:, :, 0]
+            drive = (a - X_t @ b)[:, :, 0]
             s = [v[N * (nx + nu):]]
             for E_t_k, drive_k in zip(E_t[:0:-1], drive[:0:-1]):
                 s.append(drive_k + E_t_k @ s[-1])
             feedforward = W_inv @ (b + B_t @ np.array(s[::-1])[:, :, None])
-            push = (B @ feedforward)[:, :, 0]
-            p = [np.zeros(nx)]
-            for E_k, push_k in zip(E, push):
-                p.append(E_k @ p[-1] + push_k)
-            p = np.array(p)
-            q = (P @ p[:N, :, None] + feedforward)[:, :, 0]
-            return np.concatenate([np.concatenate([p[:N], q], axis=1).reshape(-1), p[N]])
+            return self.roll(E, X, feedforward[:, :, 0])
 
         return solve
 
@@ -173,35 +223,48 @@ class _Search:
         self.passes = 0
         self.last = None
 
-    def probe(self, sigma: float) -> CountPass:
-        """One pass at sigma; a clear zero raises lo and takes up to INNER_STEPS inverse-iteration steps."""
+    def probe(self, sigma: float, guess: np.ndarray | None = None) -> CountPass:
+        """One pass at sigma. A clear zero raises lo; the guess, rolled through the pass's
+        closed loop, becomes the iterate, and its Rayleigh quotient hi when above lo. While
+        the bracket is open, up to INNER_STEPS inverse-iteration steps follow."""
         self.passes += 1
         cp = self.last = self.shifted.count(sigma)
         if cp.guard is not None:
             return cp
-        if cp.stage is None:
-            self.lo = sigma
-            solve = self.shifted.solver(cp)
-            for _ in range(INNER_STEPS):
-                w = solve(self.x)
-                self.x = w / np.linalg.norm(w)
-                rq = self.shifted.rayleigh(self.x)
-                self.move, self.rq = abs(self.rq - rq), rq
-                self.hi = min(self.hi, rq)
-                if self.converged():
-                    break
-        else:
+        if cp.stage is not None:
             self.hi = min(self.hi, sigma)
+            return cp
+        self.lo = sigma
+        if guess is not None:
+            w = self.shifted.reroll(cp, guess)
+            self.x = w / np.linalg.norm(w)
+            rq = self.shifted.rayleigh(self.x)
+            if rq > sigma:
+                self.rq = rq
+                self.hi = min(self.hi, rq)
+        if self.converged():
+            return cp
+        solve = self.shifted.solver(cp)
+        for _ in range(INNER_STEPS):
+            w = solve(self.x)
+            self.x = w / np.linalg.norm(w)
+            rq = self.shifted.rayleigh(self.x)
+            self.move, self.rq = abs(self.rq - rq), rq
+            self.hi = min(self.hi, rq)
+            if self.converged():
+                break
         return cp
 
     def converged(self) -> bool:
-        return self.lo is not None and self.hi - self.lo <= BRACKET_RTOL * self.hi
+        return self.lo is not None and self.hi - self.lo <= BRACKET_RTOL * self.hi < np.inf
 
-    def close(self, estimate: float) -> CountPass:
-        """Pass at estimate (1 - gap), the next gap only while the guard stops the last."""
+    def close(self, estimate: float, guess: np.ndarray | None = None) -> CountPass:
+        """Pass at estimate (1 - gap), the next gap only while the guard stops the last or,
+        for an eigenpair estimate (a guess), while its count is nonzero: within about 1e-11
+        of gamma a count can read rounding, and the eigenvalue is accurate to about 1e-14."""
         for gap in FINAL_GAPS:
-            cp = self.probe(estimate * (1.0 - gap))
-            if cp.guard is None:
+            cp = self.probe(estimate * (1.0 - gap), guess)
+            if cp.guard is None and (cp.stage is None or guess is None):
                 break
         return cp
 
@@ -239,12 +302,9 @@ def gamma_bracket(qdp: QdpProblem) -> tuple:
     search = _Search(qdp)
     dims = qdp.dims
     if dims.N * dims.nu <= _DENSE_ESTIMATE_MAX:
-        try:
-            estimate = reduced_hessian_gamma(qdp)
-        except ValidationError:  # the dense kernel basis refuses the problem; the count decides
-            estimate = 0.0
+        estimate, vector = search.shifted.estimate()
         if estimate > 0.0:
-            search.close(estimate)
+            search.close(estimate, vector)
     if search.lo is None:
         search.start()
     search.refine()

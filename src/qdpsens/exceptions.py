@@ -25,7 +25,8 @@ class SoscFailed(QdpSensError):
 
 
 class UncertainInertia(QdpSensError):
-    """Rounding in a control weight W_k can flip the sign the curvature count reads."""
+    """Rounding in a control weight W_k can flip its sign, which the curvature count and the
+    backward pass read."""
 
     def __init__(self, stage: int, min_eig: float, threshold: float):
         self.stage = stage
@@ -34,7 +35,7 @@ class UncertainInertia(QdpSensError):
         super().__init__(
             f"control weight at stage {stage} has eigenvalue {min_eig:.6g} within its "
             f"rounding bound {threshold:.3e} (cost-to-go growth cancels in B' K B); "
-            f"the curvature count cannot certify gamma"
+            f"rounding decides its sign"
         )
 
 

@@ -477,6 +477,11 @@ class NldpModel:
         nx, nd = self.dims.nx, self.dims.nd
         return d[nx + k * nd: nx + (k + 1) * nd]
 
+    def d_stages(self, d: Array | None = None) -> Array:
+        """Every stage reference d_0, ..., d_{N-1} as the rows of one (N, nd) reshape."""
+        d = self.d0 if d is None else d
+        return d[self.dims.nx:].reshape(self.dims.N, self.dims.nd)
+
     def base_trajectory(self) -> Trajectory:
         return Trajectory(self.x0, self.u0)
 
@@ -490,20 +495,15 @@ class NldpModel:
 def cost_gradient_vector(model: NldpModel, x: Array, u: Array, d: Array) -> Array:
     """Stage-ordered gradient of the summed cost at (x, u) for reference d."""
     dims = model.dims
-    out = np.empty(dims.n_z)
-    off = 0
-    for k in range(dims.N):
-        gx, gu = model.stage_cost_grad(k, x[k], u[k], model.d_stage(k, d))
-        out[off:off + dims.nx] = np.asarray(gx, dtype=float).reshape(-1)
-        out[off + dims.nx:off + dims.nx + dims.nu] = np.asarray(gu, dtype=float).reshape(-1)
-        off += dims.nx + dims.nu
-    out[off:] = np.asarray(model.terminal_cost_grad(x[dims.N]), dtype=float).reshape(-1)
-    return out
+    grads = [model.stage_cost_grad(k, x[k], u[k], d_k) for k, d_k in enumerate(model.d_stages(d))]
+    gx, gu = (np.array(parts, dtype=float).reshape(dims.N, -1) for parts in zip(*grads))
+    terminal = np.asarray(model.terminal_cost_grad(x[dims.N]), dtype=float).reshape(-1)
+    return np.concatenate([np.concatenate([gx, gu], axis=1).reshape(-1), terminal])
 
 
 def _jacobian_stacks(model: NldpModel, x: Array, u: Array, d: Array) -> tuple:
     """Dynamics Jacobians (A, B, C) at (x, u; d) as three (N, nx, ·) stacks."""
-    jacs = [model.dynamics_jacobians(k, x[k], u[k], model.d_stage(k, d)) for k in range(model.dims.N)]
+    jacs = [model.dynamics_jacobians(k, x[k], u[k], d_k) for k, d_k in enumerate(model.d_stages(d))]
     return tuple(np.array(blocks, dtype=float) for blocks in zip(*jacs))
 
 

@@ -12,16 +12,8 @@ def _f_linear(d):
     return d
 
 
-def _f_linear_prime(d):
-    return np.ones_like(d)
-
-
 def _f_exp(d):
     return np.exp(d) - 1.0
-
-
-def _f_exp_prime(d):
-    return np.exp(d)
 
 
 def _frozen(rows) -> np.ndarray:
@@ -59,15 +51,13 @@ def tracking_toy_model(
     """
     if not mu1 > mu2 > 0:
         raise ValidationError(f"need mu1 > mu2 > 0, got mu1={mu1}, mu2={mu2}")
-    if dynamics_kind == "linear":
-        f, fprime = _f_linear, _f_linear_prime
-    elif dynamics_kind == "exp":
-        f, fprime = _f_exp, _f_exp_prime
-    else:
+    if dynamics_kind not in ("linear", "exp"):
         raise ValidationError(f"unknown dynamics kind {dynamics_kind!r}")
+    f = _f_linear if dynamics_kind == "linear" else _f_exp
     dims = Dims(N=N, nx=1, nu=1, nd=1)
     # Constant derivative blocks, built once per model and shared read-only by every call.
     zero, one = _frozen([[0.0]]), _frozen([[1.0]])
+    linear_jacobians = (zero, one, one)
     hessian_blocks = (_frozen([[-2.0 * mu2]]), zero, _frozen([[2.0 * mu1]]),
                       _frozen([[2.0 * mu2]]), _frozen([[-2.0 * mu1]]))
 
@@ -90,7 +80,9 @@ def tracking_toy_model(
         return np.array([-2.0 * mu2 * x[0]])
 
     def dynamics_jacobians(k, x, u, d):
-        return zero, one, np.array([[fprime(d[0])]])
+        if dynamics_kind == "linear":
+            return linear_jacobians
+        return zero, one, np.array([[np.exp(d[0])]])
 
     def lagrangian_hessian(k, x, u, d, lam_k):
         # f depends on d only, so the multiplier contributes nothing to

@@ -50,12 +50,14 @@ import numpy as np
 from scipy.linalg import lapack
 
 from ._linalg import asymmetry, inf_norm, symmetrize
-from .exceptions import IndefiniteW, ValidationError
+from .exceptions import IndefiniteW, UncertainInertia, ValidationError
 from .model import Dims, QdpProblem, Trajectory, _direction_parts, _freeze
 
 W_MIN_EIG = 1e-12
+GUARD_UNITS = 16.0
 
 _POSV = lapack.dposv
+_EPS = np.finfo(float).eps
 
 
 def _sweep(H: np.ndarray, AB: np.ndarray, K_N: np.ndarray, solve) -> tuple:
@@ -100,6 +102,29 @@ def _sweep(H: np.ndarray, AB: np.ndarray, K_N: np.ndarray, solve) -> tuple:
     return F, K, X, stop, np.linalg.eigvalsh(F[first:, nx:, nx:], UPLO="U")
 
 
+def _fro(M: np.ndarray) -> np.ndarray:
+    """Frobenius norm of every block of a stack."""
+    return np.sqrt(np.einsum("kij,kij->k", M, M))
+
+
+def _rounding_guard(low: np.ndarray, R: np.ndarray, B: np.ndarray, K_next: np.ndarray, first: int):
+    """(stage, smallest eigenvalue, threshold) of the first W_k, in backward order, whose sign
+    rounding can flip, or None.
+
+    W_k = R_k + B_k' K_{k+1} B_k cancels when K grows, so a block is signed only
+    when its smallest |eigenvalue| ``low`` exceeds GUARD_UNITS * eps *
+    (|R_k| + |B_k|^2 |K_{k+1}|) in Frobenius norms. The stacks hold stages
+    first, first + 1, ... (K_next one stage later).
+    """
+    B_sq = np.einsum("kij,kij->k", B, B)
+    threshold = GUARD_UNITS * _EPS * (_fro(R) + B_sq * _fro(K_next))
+    unsafe = np.flatnonzero(~(np.abs(low) > threshold))
+    if not unsafe.size:
+        return None
+    j = unsafe[-1]
+    return first + int(j), float(low[j]), float(threshold[j])
+
+
 @dataclass(frozen=True)
 class RiccatiSolution:
     """Backward-pass output: read-only stage stacks K (N + 1, nx, nx), W and its
@@ -123,7 +148,9 @@ def backward_pass(qdp: QdpProblem) -> RiccatiSolution:
 
     Every W_k must clear W_MIN_EIG times its largest |eigenvalue|; that is
     guaranteed for transformed problems and holds for the original one
-    whenever the reduced curvature bound is positive. The recursion also
+    whenever the reduced curvature bound is positive. A W_k that clears it
+    but whose sign rounding can flip (``_rounding_guard``, the count's rule
+    in ``curvature``) raises ``UncertainInertia`` naming the stage. The recursion also
     records the worst per-entry residual of the closed-loop identity
     K_k = E_k' K_{k+1} E_k + [I P_k']' H_k [I; P_k] as a cheap invariant.
     """
@@ -140,6 +167,9 @@ def backward_pass(qdp: QdpProblem) -> RiccatiSolution:
     if failed.any():
         j = np.flatnonzero(failed)[-1]
         raise IndefiniteW((stop or 0) + int(j), float(low[j]))
+    guard = _rounding_guard(low, blocks["R"], blocks["B"], K[1:], 0)
+    if guard is not None:
+        raise UncertainInertia(*guard)
 
     P, K, W = -X, symmetrize(K), symmetrize(F[:, nx:, nx:])
     E = blocks["A"] + blocks["B"] @ P

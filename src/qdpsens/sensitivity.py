@@ -158,10 +158,11 @@ def fit_decay_rate(norms, i: int, floor: float = DECAY_FLOOR, side: str = "both"
         raise InsufficientData(
             f"only {pts_x.size} usable stages for a {side}-side fit at stage {i}"
         )
-    slope, intercept = np.polyfit(pts_x, pts_y, 1)
-    fitted = slope * pts_x + intercept
-    ss_res = float(np.sum((pts_y - fitted) ** 2))
-    ss_tot = float(np.sum((pts_y - pts_y.mean()) ** 2))
+    dx, dy = pts_x - pts_x.mean(), pts_y - pts_y.mean()
+    slope = (dx @ dy) / (dx @ dx)
+    intercept = pts_y.mean() - slope * pts_x.mean()
+    ss_res = float(np.sum((dy - slope * dx) ** 2))
+    ss_tot = float(dy @ dy)
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return DecayFit(rho_fit=float(np.exp(slope)), intercept=float(intercept),
                     r_squared=r2, n_points=int(pts_x.size))

@@ -278,7 +278,8 @@ def _model_state(model: NldpModel, d: np.ndarray, traj: Trajectory):
     dims = model.dims
     x, u = traj.states, traj.controls
     A, B, _ = _jacobian_stacks(model, x, u, d)
-    f = np.array([model.dynamics(k, x[k], u[k], model.d_stage(k, d)) for k in range(dims.N)], dtype=float)
+    f = np.array([model.dynamics(k, x[k], u[k], d_k) for k, d_k in enumerate(model.d_stages(d))],
+                 dtype=float)
     cons = np.concatenate([x[0] - d[:dims.nx], (x[1:] - f.reshape(dims.N, dims.nx)).reshape(-1)])
     grad = cost_gradient_vector(model, x, u, d)
     return staircase_jacobian(dims, A, B), grad, cons
@@ -288,8 +289,8 @@ def _hessian_blocks(model: NldpModel, d, traj, lam):
     """Stage Lagrangian Hessians as one (N, nx + nu, nx + nu) stack, and the terminal Hessian."""
     dims = model.dims
     lam_stages = lam[dims.nx:].reshape(dims.N, dims.nx)
-    blocks = [model.lagrangian_hessian(k, traj.states[k], traj.controls[k], model.d_stage(k, d), lam_k)
-              for k, lam_k in enumerate(lam_stages)]
+    blocks = [model.lagrangian_hessian(k, traj.states[k], traj.controls[k], d_k, lam_k)
+              for k, (d_k, lam_k) in enumerate(zip(model.d_stages(d), lam_stages))]
     Q, S, R = (np.array(stack, dtype=float) for stack in list(zip(*blocks))[:3])
     QN = np.asarray(model.terminal_hessian(traj.states[dims.N]), dtype=float)
     return _stage_hessians(Q, R, S), QN

@@ -95,3 +95,12 @@ def overflowing(N=3):
     return qs.QdpProblem.constant(
         qs.Dims(N=N, nx=1, nu=1, nd=1), Q=[[1e160]], R=[[1.0]], S=[[0.0]], D1=[[0.0]], D2=[[0.0]],
         A=[[1e160]], B=[[1.0]], C=[[0.0]], terminal_Q=[[1e160]])
+
+
+def expanding(N):
+    """A = 3I with one input: the unreachable mode grows K by 9 per stage; gamma is exactly 1."""
+    dims = qs.Dims(N=N, nx=2, nu=1, nd=1)
+    return qs.QdpProblem.constant(
+        dims, Q=5.0 * np.eye(2), R=[[1.0]], S=np.zeros((1, 2)), D1=np.zeros((1, 2)),
+        D2=[[0.0]], A=3.0 * np.eye(2), B=[[1.0], [1.0]], C=np.zeros((2, 1)),
+        terminal_Q=np.eye(2))

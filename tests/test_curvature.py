@@ -11,12 +11,13 @@ import qdpsens as qs
 from qdpsens import curvature
 from qdpsens.cli import main
 
-from conftest import overflowing
+from conftest import expanding, overflowing
 
 
 @pytest.fixture(params=["dense estimate", "shifted solves"])
 def estimate_path(request, monkeypatch):
-    """Run a test once per estimate path: the dense reduced Hessian, then shifted solves alone."""
+    """Run a test once per estimate path: the dense eigenpair of the reduced Hessian over the
+    control-to-trajectory map, then shifted solves alone."""
     if request.param == "shifted solves":
         monkeypatch.setattr(curvature, "_DENSE_ESTIMATE_MAX", -1)
     return request.param
@@ -30,13 +31,39 @@ def check_against_dense(qdp):
     return lo, hi
 
 
-def expanding(N):
-    """A = 3I with one input: the unreachable mode grows K by 9 per stage; gamma is exactly 1."""
-    dims = qs.Dims(N=N, nx=2, nu=1, nd=1)
-    return qs.QdpProblem.constant(
-        dims, Q=5.0 * np.eye(2), R=[[1.0]], S=np.zeros((1, 2)), D1=np.zeros((1, 2)),
-        D2=[[0.0]], A=3.0 * np.eye(2), B=[[1.0], [1.0]], C=np.zeros((2, 1)),
-        terminal_Q=np.eye(2))
+class Work:
+    """Count passes and shifted-solve set-ups in order: a pass as its count stage (None
+    for zero), a set-up as "solver"."""
+
+    def __init__(self):
+        self.events = []
+
+    @property
+    def passes(self):
+        return sum(event != "solver" for event in self.events)
+
+    @property
+    def solvers(self):
+        return self.events.count("solver")
+
+
+@pytest.fixture
+def work(monkeypatch):
+    tally = Work()
+    count, solver = curvature._Shifted.count, curvature._Shifted.solver
+
+    def counted(self, sigma):
+        cp = count(self, sigma)
+        tally.events.append(cp.stage)
+        return cp
+
+    def counted_solver(self, cp):
+        tally.events.append("solver")
+        return solver(self, cp)
+
+    monkeypatch.setattr(curvature._Shifted, "count", counted)
+    monkeypatch.setattr(curvature._Shifted, "solver", counted_solver)
+    return tally
 
 
 class TestBracketHoldsDenseGamma:
@@ -77,6 +104,73 @@ class TestBracketHoldsDenseGamma:
             lo, hi = qs.gamma_bracket(qdp)
             assert hi - lo <= curvature.BRACKET_RTOL * hi
         assert lo >= 0.8 * gamma0
+
+
+class TestEigenpairEstimate:
+    """Kernel dimension N * nu <= 200: the reduced Hessian over the control-to-trajectory map."""
+
+    @pytest.fixture(scope="class")
+    def small_pools(self, small_pool, square_pool, shape_pool):
+        return list(small_pool) + list(square_pool) + list(shape_pool)
+
+    def test_one_count_pass_and_no_shifted_solve(self, small_pools, work):
+        for qdp in small_pools:
+            work.events.clear()
+            lo, hi = check_against_dense(qdp)
+            assert hi >= lo
+            assert work.events == [None]
+
+    def test_estimate_matches_the_dense_oracle(self, small_pools):
+        for qdp in small_pools:
+            estimate, w = curvature._Shifted(qdp).estimate()
+            gamma = qs.reduced_hessian_gamma(qdp)
+            assert estimate == pytest.approx(gamma, rel=1e-13, abs=0.0)
+            cs = qs.assemble_constraints(qdp, np.zeros(qdp.dims.n_dir))
+            assert cs.residual(w) <= 1e-12
+            assert np.linalg.norm(w) == pytest.approx(1.0, rel=1e-12)
+
+    def test_rolled_eigenvector_is_feasible_and_bounds_gamma(self, small_pool):
+        """The eigenvector, rolled through the closing pass's closed loop, is an exact
+        kernel vector whose Rayleigh quotient is the bracket's hi."""
+        for qdp in small_pool[:4]:
+            shifted = curvature._Shifted(qdp)
+            estimate, w = shifted.estimate()
+            cp = shifted.count(estimate * (1.0 - curvature.FINAL_GAPS[0]))
+            rolled = shifted.reroll(cp, w)
+            assert rolled[:qdp.dims.nx].tolist() == [0.0] * qdp.dims.nx
+            cs = qs.assemble_constraints(qdp, np.zeros(qdp.dims.n_dir))
+            assert cs.residual(rolled) <= 1e-13 * np.max(np.abs(rolled))
+            assert shifted.rayleigh(rolled / np.linalg.norm(rolled)) == qs.gamma_bracket(qdp)[1]
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_bad_estimate_certifies_through_the_refinement(self, small_pool, monkeypatch, work, factor):
+        """An estimate off by a factor (and a useless vector) still ends in a certified
+        bracket: below gamma the guess does not close it, above it the count is nonzero."""
+        estimate = curvature._Shifted.estimate
+
+        def bad(self):
+            value, w = estimate(self)
+            return factor * value, np.ones_like(w)
+
+        monkeypatch.setattr(curvature._Shifted, "estimate", bad)
+        for qdp in small_pool[:4]:
+            work.events.clear()
+            check_against_dense(qdp)
+            assert work.passes > 1 and work.solvers >= 1
+
+    def test_overflowing_map_leaves_the_count_to_decide(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            estimate, w = curvature._Shifted(overflowing()).estimate()
+        assert np.isnan(estimate) and w is None
+
+    def test_count_is_unsound_near_gamma_on_a_known_instance(self):
+        """Within about 3e-12 (relative) of gamma the double-precision count reads rounding
+        (README, "Certified gamma"). 40-digit arithmetic puts gamma in
+        [13.461945937477719, 13.461945937477928]; the bracket's lo stays under it."""
+        qdp = qs.random_sosc_qdp(215, N=52, nx=5, nu=2, nd=2)
+        lo, hi = qs.gamma_bracket(qdp)
+        assert lo <= 13.461945937477719
+        assert hi >= lo
 
 
 class TestCount:
@@ -217,3 +311,14 @@ class TestConsumersReadLo:
         text = CliRunner().invoke(main, ["check", str(path)]).output
         assert "FAIL" in text and "stage 2" in text
 
+
+
+class TestNoSolveAfterConvergence:
+    @pytest.mark.parametrize("N", [55, 80])
+    def test_closing_pass_of_the_count_path_runs_no_solve(self, work, N):
+        """Above the crossover, the closing pass sits under a settled Rayleigh quotient, so
+        the bracket is already closed there: its zero count sets no solve up."""
+        qdp = qs.random_sosc_qdp(7, N=N, nx=4, nu=4, nd=2, square_controls=True)
+        check_against_dense(qdp)
+        assert work.events[-1] is None
+        assert work.solvers >= 1

@@ -66,3 +66,21 @@ def test_closed_form_oracles_live_in_verify():
     for name in ("closed_form_p", "materialize_influence", "closed_loop_product_norm",
                  "verify_equivalence", "EquivalenceReport"):
         assert getattr(qs, name) is getattr(verify, name)
+
+
+def test_curvature_imports_nothing_from_nullspace():
+    assert "nullspace" not in modules_imported_by("curvature")
+
+
+def test_only_nullspace_calls_the_dense_gamma():
+    """``reduced_hessian_gamma`` is the tests' oracle: no other module calls it."""
+    callers = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "reduced_hessian_gamma":
+                    callers.add(path.stem)
+    assert callers <= {"nullspace"}
+    assert qs.reduced_hessian_gamma is qs.nullspace.reduced_hessian_gamma

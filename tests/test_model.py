@@ -158,6 +158,25 @@ class TestTrackingToyLinearization:
         qdp = qs.assemble_qdp_from_nldp(model)
         assert qdp.stages[0].R[0, 0] == pytest.approx(20.0)
 
+    def test_linear_toy_jacobians_are_prebuilt(self):
+        """The linear kind's dynamics Jacobians are built once per model, read-only."""
+        model = qs.tracking_toy_model(4, 10.0, 1.0, "linear")
+        first = model.dynamics_jacobians(0, np.zeros(1), np.zeros(1), np.array([0.3]))
+        again = model.dynamics_jacobians(3, np.ones(1), np.ones(1), np.array([-2.0]))
+        assert all(a is b for a, b in zip(first, again))
+        assert [block.tolist() for block in first] == [[[0.0]], [[1.0]], [[1.0]]]
+        assert not any(block.flags.writeable for block in first)
+        exp = qs.tracking_toy_model(4, 10.0, 1.0, "exp")
+        assert exp.dynamics_jacobians(0, np.zeros(1), np.zeros(1), np.array([0.3]))[2][0, 0] == np.exp(0.3)
+
+    def test_stage_references_are_one_reshape(self):
+        model = qs.tracking_toy_model(4, 10.0, 1.0, "linear")
+        d = np.arange(model.dims.n_dir, dtype=float)
+        refs = model.d_stages(d)
+        assert refs.shape == (4, 1)
+        assert all(np.array_equal(refs[k], model.d_stage(k, d)) for k in range(4))
+        assert np.shares_memory(refs, d)
+
     def test_with_reference_swaps_vector(self):
         model = qs.tracking_toy_model(4, 10.0, 1.0, "linear")
         d_new = np.arange(model.dims.n_dir, dtype=float)

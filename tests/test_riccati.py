@@ -7,7 +7,7 @@ import qdpsens as qs
 from qdpsens import materialize_influence
 from qdpsens.riccati import _influence_sweep, forward_solve_block
 
-from conftest import overflowing, planted, random_direction
+from conftest import expanding, overflowing, planted, random_direction
 
 
 def one_step_chain():
@@ -96,6 +96,19 @@ class TestBackwardPass:
         with pytest.raises(qs.IndefiniteW) as err:
             qs.backward_pass(qdp)
         assert err.value.stage == 4
+
+    @pytest.mark.parametrize("N, stage", [(20, 3), (30, 13), (40, 23)])
+    def test_rounding_guard_names_the_stage(self, N, stage):
+        """K grows 9^k and W_k = R + B' K B cancels: the count's guard rule refuses the
+        block whose sign is rounding, the stage the count names too."""
+        with pytest.raises(qs.UncertainInertia) as err:
+            qs.backward_pass(expanding(N))
+        assert err.value.stage == stage
+        assert abs(err.value.min_eig) <= err.value.threshold
+
+    def test_rounding_guard_clear_while_the_growth_is_mild(self):
+        rs = qs.backward_pass(expanding(10))
+        assert rs.closed_loop_identity_residual <= 1e-6
 
     def test_overflow_in_the_recursion_is_a_validation_error(self):
         with np.errstate(over="ignore", invalid="ignore"):

@@ -396,6 +396,26 @@ class TestFitDecayRate:
         assert fit.rho_fit == pytest.approx(rho, rel=1e-10)
         assert np.exp(fit.intercept) == pytest.approx(scale, rel=1e-9)
 
+    def test_closed_form_matches_polyfit(self, small_pool):
+        """The centered closed-form line agrees with a degree-1 ``np.polyfit`` on pipeline norms."""
+        for qdp in small_pool:
+            i = qdp.dims.N // 2
+            res = qs.solve_sensitivity(qdp, qs.unit_direction(qdp.dims, i, 1))
+            for norms in (res.state_norms, res.control_norms):
+                for side in ("left", "right"):
+                    try:
+                        fit = qs.fit_decay_rate(norms, i, side=side)
+                    except qs.InsufficientData:
+                        continue
+                    ks = np.arange(norms.size)
+                    keep = (norms > qs.sensitivity.DECAY_FLOOR) & ((ks < i) if side == "left" else (ks > i))
+                    x, y = np.abs(ks[keep] - i).astype(float), np.log(norms[keep])
+                    slope, intercept = np.polyfit(x, y, 1)
+                    r2 = 1.0 - np.sum((y - slope * x - intercept) ** 2) / np.sum((y - y.mean()) ** 2)
+                    assert fit.rho_fit == pytest.approx(np.exp(slope), rel=1e-13)
+                    assert fit.intercept == pytest.approx(intercept, rel=1e-13, abs=1e-13 * np.max(np.abs(y)))
+                    assert fit.r_squared == pytest.approx(r2, rel=1e-13)
+
     def test_all_below_floor(self):
         with pytest.raises(qs.InsufficientData):
             qs.fit_decay_rate(np.full(10, 1e-15), 5)
