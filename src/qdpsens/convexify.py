@@ -141,7 +141,7 @@ def convexify(qdp: QdpProblem, delta: float) -> ConvexifiedQdp:
 
     St = F[:, nx:, :nx]
     Qt = symmetrize(np.swapaxes(St, 1, 2) @ X) + shift
-    qbar = _freeze(symmetrize(qbar))
+    qbar = _freeze(qbar)
     C_qbar = np.swapaxes(blocks["C"], 1, 2) @ qbar[1:]
     Dt1 = blocks["D1"] + C_qbar @ blocks["A"]
     Dt2 = blocks["D2"] + C_qbar @ blocks["B"]

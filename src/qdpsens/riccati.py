@@ -7,11 +7,15 @@ the shifting recursion of ``convexify`` and the inertia count of
 
     F_k = H_k + [A_k B_k]' K_{k+1} [A_k B_k],
     W_k = F_k[u, u],  G_k = F_k[u, x],  X_k = W_k^{-1} G_k,
-    K_k = F_k[x, x] - G_k' X_k,
+    K_k = F_k[x, x] - G_k' X_k,  then symmetrized,
 
 with one LAPACK solve per stage, the only thing its callers choose: a
 Cholesky solve (``posv``) where W_k must be positive definite, a symmetric
-indefinite solve (``sysv``) where it need only be invertible. Definiteness
+indefinite solve (``sysv``) where it need only be invertible. K_k is
+symmetrized inside the loop because the skew part rounding leaves in it
+feeds back through [A_k B_k]' K_{k+1} [A_k B_k] and grows with the
+open-loop A_k, not the closed loop (Verhaegen & Van Dooren 1986); every K
+the kernel returns is exactly symmetric. Definiteness
 and finiteness are checked after the loop, over the stacks, by one stacked
 eigensolve; each caller maps a failure to its typed error at the first
 failing stage in backward order. Here the feedback gains are P_k = -X_k,
@@ -91,6 +95,8 @@ def _sweep(H: np.ndarray, AB: np.ndarray, K_N: np.ndarray, solve) -> tuple:
             stop = k
             break
         np.subtract(F_xx, G.T @ x, out=K_k)
+        K_k += K_k.T
+        K_k *= 0.5
         Xs.append(x)
     first = stop or 0
     if not np.isfinite(F[first:].sum() + K[first:].sum()):  # a finite sum can overflow: rescan by stage
@@ -171,7 +177,7 @@ def backward_pass(qdp: QdpProblem) -> RiccatiSolution:
     if guard is not None:
         raise UncertainInertia(*guard)
 
-    P, K, W = -X, symmetrize(K), symmetrize(F[:, nx:, nx:])
+    P, W = -X, symmetrize(F[:, nx:, nx:])
     E = blocks["A"] + blocks["B"] @ P
     basis = np.concatenate([np.broadcast_to(np.eye(nx), (dims.N, nx, nx)), P], axis=1)
     rebuilt = np.swapaxes(E, 1, 2) @ K[1:] @ E + np.swapaxes(basis, 1, 2) @ H @ basis

@@ -106,6 +106,28 @@ class TestBracketHoldsDenseGamma:
         assert lo >= 0.8 * gamma0
 
 
+# nx in {6, 8}, nu in {nx / 2, nx}, N in {40, 80}, seeds 1-2: the pool where a stage kernel
+# that leaves K unsymmetrized raises SoscFailed at N = 80 and misses the dense gamma at N = 40.
+WIDE_STATE_POOL = [(nx, nu, N, seed) for nx in (6, 8) for nu in (nx // 2, nx)
+                   for N in (40, 80) for seed in (1, 2)]
+
+
+class TestWideStates:
+    """Rounding leaves a skew part in K that grows with the open-loop A, not the closed loop
+    (Verhaegen & Van Dooren 1986); the kernel symmetrizes K at every stage, so the bracket
+    and the convexified pipeline stay sound at nx >= 6."""
+
+    @pytest.mark.parametrize("nx, nu, N, seed", WIDE_STATE_POOL)
+    def test_bracket_holds_dense_gamma_and_pipeline_matches_oracle(self, nx, nu, N, seed):
+        qdp = qs.random_sosc_qdp(seed, N=N, nx=nx, nu=nu, nd=2)
+        fac = qs.factorize(qdp)
+        gamma = qs.reduced_hessian_gamma(qdp)
+        assert 0.0 < fac.gamma <= gamma <= fac.gamma_hi * (1.0 + 1e-12)
+        assert fac.gamma_hi - fac.gamma <= curvature.BRACKET_RTOL * fac.gamma_hi
+        l = np.random.default_rng(seed).standard_normal(qdp.dims.n_dir)
+        assert qs.verify_equivalence(fac, l).passed
+
+
 class TestEigenpairEstimate:
     """Kernel dimension N * nu <= 200: the reduced Hessian over the control-to-trajectory map."""
 

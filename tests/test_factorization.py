@@ -180,11 +180,11 @@ class TestStackedBlockNorms:
 class TestCliRecordedOutput:
     """``qdpsens sensitivity`` output (N=80, nx=nu=4), recorded with gamma the certified
     lower bound of the inertia bracket and every stage recursion on the shared stage
-    kernel. It does not depend on the BLAS thread count."""
+    kernel, which symmetrizes K at every stage. It does not depend on the BLAS thread count."""
 
-    SUMMARY = {"stage": 40, "coord": 1, "gamma": 4.487311824753207,
-               "delta": 4.0385806422778865, "rho_fit": 0.022710085605720184,
-               "rho_theory": 0.9999793363674101, "upsilon_pq": 5.633382824390683e+30}
+    SUMMARY = {"stage": 40, "coord": 1, "gamma": 4.487311824753208,
+               "delta": 4.038580642277887, "rho_fit": 0.022710085605722574,
+               "rho_theory": 0.9999793363674101, "upsilon_pq": 5.633382824394033e+30}
 
     def test_summary_and_table_unchanged(self, tmp_path):
         qdp = qs.random_sosc_qdp(80, N=80, nx=4, nu=4, nd=2, square_controls=True)
