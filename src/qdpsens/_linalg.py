@@ -1,15 +1,12 @@
 """Small dense linear-algebra helpers shared across modules: symmetric
-parts, operator norms by Gram eigensolves, and a smallest eigenvalue by one
-LAPACK ``syevr`` call.
+parts, operator norms by Gram eigensolves, and the smallest eigenvalue the
+dense oracle reads.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 import scipy.linalg
-
 
 
 def symmetrize(mat: np.ndarray) -> np.ndarray:
@@ -46,14 +43,8 @@ def max_operator_norm(blocks) -> float:
 
 
 def sym_min_eig(mat: np.ndarray) -> float:
-    """Smallest eigenvalue of a (nearly) symmetric matrix, computed alone (LAPACK ``syevr``
-    with a one-index range, as ``scipy.linalg.eigh(..., subset_by_index=[0, 0])`` calls it)."""
-    lwork, liwork = _syevr_workspace(mat.shape[0])
-    w, _, _, _, info = _SYEVR(symmetrize(mat), compute_v=0, range="I", il=1, iu=1, lower=1,
-                              lwork=lwork, liwork=liwork)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"syevr failed (info={info})")
-    return float(w[0])
+    """Smallest eigenvalue of a (nearly) symmetric matrix, computed alone."""
+    return float(scipy.linalg.eigh(symmetrize(mat), subset_by_index=[0, 0], eigvals_only=True)[0])
 
 
 def inf_norm(vec_or_mat: np.ndarray) -> float:
@@ -62,14 +53,3 @@ def inf_norm(vec_or_mat: np.ndarray) -> float:
         return 0.0
     return float(np.max(np.abs(arr)))
 
-
-_SYEVR, _SYEVR_LWORK = scipy.linalg.get_lapack_funcs(("syevr", "syevr_lwork"), dtype=np.float64)
-
-
-@lru_cache(maxsize=None)
-def _syevr_workspace(n: int) -> tuple:
-    """(lwork, liwork) from the workspace query, as ``scipy.linalg.eigh`` sizes them."""
-    lwork, liwork, info = _SYEVR_LWORK(n, lower=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"syevr workspace query failed (info={info})")
-    return int(lwork), int(liwork)

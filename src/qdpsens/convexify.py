@@ -29,7 +29,9 @@ eigenvalues. The Qt_k are formed from the St and X stacks after the loop.
 The quadratic-in-l constant block produced by the update is not stored; it
 moves no minimizer. Where a reported objective difference needs it (the
 equivalence cross-check in ``verify``), ``direction_constant`` rebuilds it
-from Qbar.
+from Qbar. The transformed program is stored once, as the ``QdpProblem``
+that ``ConvexifiedQdp.as_qdp`` returns: Qt, Rt, St, Dt1, Dt2 in place of
+Q, R, S, D1, D2, the source's A, B, C stacks, and delta I as terminal block.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .exceptions import (
     NotPositiveDefinite,
     ValidationError,
 )
-from .model import Dims, QdpProblem, _direction_parts, _freeze, _stage_hessians
+from .model import Dims, QdpProblem, _direction_parts, _freeze
 from .riccati import _sweep
 
 INVERTIBILITY_TOL = 1e-12
@@ -55,29 +57,15 @@ _SYSV = lapack.dsysv
 
 
 @dataclass(frozen=True)
-class ConvexifiedStage:
-    Qt: np.ndarray
-    Rt: np.ndarray
-    St: np.ndarray
-    Dt1: np.ndarray
-    Dt2: np.ndarray
-
-    def hessian(self) -> np.ndarray:
-        return _stage_hessians(self.Qt, self.Rt, self.St)
-
-
-@dataclass(frozen=True)
 class ConvexifiedQdp:
-    """Output of the shifting recursion: transformed blocks plus the shifts,
+    """Output of the shifting recursion: the transformed program, stored once as a
+    ``QdpProblem`` (dynamics unchanged, terminal block delta I), plus the shifts
     Qbar_0..Qbar_N as one read-only (N + 1, nx, nx) stack."""
 
     dims: Dims
     delta: float
-    stages: tuple
-    terminal_Qt: np.ndarray
     Qbar: np.ndarray
     semidefinite: bool
-    _source: QdpProblem
     _qdp: QdpProblem
 
     def as_qdp(self) -> QdpProblem:
@@ -91,14 +79,14 @@ class ConvexifiedQdp:
         bordered update.
         """
         _, l_stages = _direction_parts(l, self.dims)
-        v = self._source.blocks["C"] @ l_stages[:, :, None]
+        v = self._qdp.blocks["C"] @ l_stages[:, :, None]
         return float(np.sum(np.swapaxes(v, 1, 2) @ self.Qbar[1:] @ v))
 
     def max_block_norm(self) -> float:
         """Largest spectral norm over transformed cost blocks."""
         blocks = self._qdp.blocks
         return max(max_operator_norm(stack) for stack in
-                   [[self.terminal_Qt], *(blocks[name] for name in ("Q", "R", "S", "D1", "D2"))])
+                   [[self._qdp.terminal_Q], *(blocks[name] for name in ("Q", "R", "S", "D1", "D2"))])
 
     def to_json_dict(self) -> dict:
         data = self.as_qdp().to_json_dict()
@@ -145,35 +133,13 @@ def convexify(qdp: QdpProblem, delta: float) -> ConvexifiedQdp:
     C_qbar = np.swapaxes(blocks["C"], 1, 2) @ qbar[1:]
     Dt1 = blocks["D1"] + C_qbar @ blocks["A"]
     Dt2 = blocks["D2"] + C_qbar @ blocks["B"]
-    conv_qdp = QdpProblem._from_stacks(dims, {"Q": Qt, "R": F[:, nx:, nx:], "S": St, "D1": Dt1, "D2": Dt2,
-                                               "A": blocks["A"], "B": blocks["B"], "C": blocks["C"]}, shift)
-    out = conv_qdp.blocks
-    return ConvexifiedQdp(
-        dims=dims,
-        delta=float(delta),
-        stages=tuple(map(ConvexifiedStage, out["Q"], out["R"], out["S"], out["D1"], out["D2"])),
-        terminal_Qt=shift,
-        Qbar=qbar,
-        semidefinite=(delta == 0.0),
-        _source=qdp,
-        _qdp=conv_qdp,
-    )
+    conv_qdp = QdpProblem._from_stacks(dims, {**blocks, "Q": Qt, "R": F[:, nx:, nx:], "S": St,
+                                               "D1": Dt1, "D2": Dt2}, shift)
+    return ConvexifiedQdp(dims=dims, delta=float(delta), Qbar=qbar, semidefinite=(delta == 0.0), _qdp=conv_qdp)
 
 
 def shifted_problem(qdp: QdpProblem, delta: float) -> QdpProblem:
     """Replace every state cost block, terminal included, by Q_k - delta I."""
-    eye = np.eye(qdp.dims.nx)
-    stages = [
-        {
-            "Q": st.Q - delta * eye,
-            "R": st.R,
-            "S": st.S,
-            "D1": st.D1,
-            "D2": st.D2,
-            "A": st.A,
-            "B": st.B,
-            "C": st.C,
-        }
-        for st in qdp.stages
-    ]
-    return QdpProblem(qdp.dims, stages, qdp.terminal_Q - delta * eye)
+    shift = delta * np.eye(qdp.dims.nx)
+    blocks = qdp.blocks
+    return QdpProblem._from_stacks(qdp.dims, {**blocks, "Q": blocks["Q"] - shift}, qdp.terminal_Q - shift)

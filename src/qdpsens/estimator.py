@@ -79,7 +79,7 @@ class RiccatiSensitivityEstimator:
         self._require_fit()
         arr = check_direction_array(L, self.n_features_in_)
         fac = self.factorization_
-        return forward_solve_block(fac.riccati, fac.convexified_qdp, arr)
+        return forward_solve_block(fac.riccati, fac.convexified.as_qdp(), arr)
 
     def transform(self, L) -> np.ndarray:
         return self.predict(L)

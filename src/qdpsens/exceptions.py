@@ -107,12 +107,12 @@ class ControllabilityFailed(QdpSensError):
 
 
 class MultiplierRecoveryError(QdpSensError):
-    """Least-squares multipliers leave a large stationarity residual."""
+    """Multipliers recovered by the adjoint recursion leave a large stationarity residual."""
 
     def __init__(self, residual: float):
         self.residual = residual
         super().__init__(
-            f"stationarity residual {residual:.3e} after least-squares "
+            f"stationarity residual {residual:.3e} after adjoint "
             f"multiplier recovery exceeds 1e-6; base point is not optimal "
             f"or derivatives are inconsistent"
         )

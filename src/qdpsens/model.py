@@ -508,22 +508,26 @@ def _jacobian_stacks(model: NldpModel, x: Array, u: Array, d: Array) -> tuple:
 
 
 def recover_multipliers(model: NldpModel) -> Array:
-    """Least-squares multipliers from stationarity at the base point.
+    """Multipliers from stationarity at the base point, by the adjoint recursion.
 
-    Solves min || G' lam + grad_cost || over lam; a residual above 1e-6
-    means the base point is not a stationary point of the model.
+    The state rows of G' lam + grad_cost = 0 give lam_N = -g_{x_N} and
+    lam_k = A_k' lam_{k+1} - g_{x_k} for k = N-1, ..., 0. The control rows
+    g_{u_k} - B_k' lam_{k+1} are then what is left; a residual above 1e-6
+    there means the base point is not a stationary point of the model.
     """
-    from .nullspace import staircase_jacobian
-
     dims = model.dims
+    N, nx = dims.N, dims.nx
     A, B, _ = _jacobian_stacks(model, model.x0, model.u0, model.d0)
-    G = staircase_jacobian(dims, A, B)
     grad = cost_gradient_vector(model, model.x0, model.u0, model.d0)
-    lam, *_ = np.linalg.lstsq(G.T, -grad, rcond=None)
-    residual = float(np.max(np.abs(G.T @ lam + grad)))
+    body = grad[:-nx].reshape(N, nx + dims.nu)
+    lam = np.empty((N + 1, nx))
+    lam[N] = -grad[-nx:]
+    for k in range(N - 1, -1, -1):
+        lam[k] = A[k].T @ lam[k + 1] - body[k, :nx]
+    residual = float(np.max(np.abs(body[:, nx:] - np.einsum("kij,ki->kj", B, lam[1:]))))
     if residual > 1e-6:
         raise MultiplierRecoveryError(residual)
-    return lam.reshape(dims.N + 1, dims.nx)
+    return lam
 
 
 def assemble_qdp_from_nldp(model: NldpModel) -> QdpProblem:
@@ -531,8 +535,8 @@ def assemble_qdp_from_nldp(model: NldpModel) -> QdpProblem:
 
     The blocks are the exact second derivatives of the stage Lagrangians and
     the dynamics Jacobians, all evaluated at (x0, u0, multipliers; d0). When
-    multipliers are not supplied they are recovered by least squares from
-    stationarity.
+    multipliers are not supplied they are recovered from stationarity
+    (``recover_multipliers``).
     """
     dims = model.dims
     lam = model.multipliers

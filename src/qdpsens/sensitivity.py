@@ -44,7 +44,6 @@ from .exceptions import (
     ValidationError,
 )
 from .model import Dims, NldpModel, QdpProblem, Trajectory, as_vector
-from .nullspace import reduced_hessian_gamma  # noqa: F401  (kept bound here: perfbench traces it by this module)
 from .riccati import RiccatiSolution, backward_pass, forward_solve
 
 DECAY_FLOOR = 1e-12
@@ -305,8 +304,8 @@ class BoundsReport:
 @dataclass(frozen=True)
 class Factorization:
     """One problem factorized once: the certified gamma bracket, the shift delta
-    in (0, gamma), the convexified program (blocks and plain program) and its
-    Riccati solution. ``gamma`` is the bracket's certified lower end, which
+    in (0, gamma), the convexified program and the Riccati solution of its
+    ``as_qdp()`` program. ``gamma`` is the bracket's certified lower end, which
     every consumer reads; ``gamma_hi`` is its upper end. Every direction's
     sensitivity (``solve``) and the decay certificate (``bounds``) are read
     from it. Build it with ``factorize``.
@@ -317,12 +316,11 @@ class Factorization:
     gamma_hi: float
     delta: float
     convexified: ConvexifiedQdp
-    convexified_qdp: QdpProblem
     riccati: RiccatiSolution
 
     def trajectory(self, l) -> Trajectory:
         """Derivative trajectory along l: the forward solve alone."""
-        return forward_solve(self.riccati, self.convexified_qdp, l)
+        return forward_solve(self.riccati, self.convexified.as_qdp(), l)
 
     def solve(self, l) -> SensitivityResult:
         """Derivative trajectory along l, its norms, and the decay fit from its source stage."""
@@ -429,8 +427,7 @@ def _factorize(qdp: QdpProblem, shift) -> Factorization:
     """The certified shift, convexify, backward pass."""
     gamma, gamma_hi, delta = _certified_shift(qdp, shift)
     conv = convexify(qdp, delta)
-    conv_qdp = conv.as_qdp()
-    return Factorization(qdp, gamma, gamma_hi, delta, conv, conv_qdp, backward_pass(conv_qdp))
+    return Factorization(qdp, gamma, gamma_hi, delta, conv, backward_pass(conv.as_qdp()))
 
 
 def select_delta(qdp: QdpProblem, fraction: float = 0.9) -> float:

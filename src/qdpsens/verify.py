@@ -143,7 +143,7 @@ def verify_equivalence(fac, l) -> EquivalenceReport:
     primal_gap = inf_norm(w_ric - w_kkt) / scale
 
     obj_orig = eval_qdp_objective(qdp, l, kkt.trajectory)
-    obj_conv = eval_qdp_objective(fac.convexified_qdp, l, traj) + conv.direction_constant(l)
+    obj_conv = eval_qdp_objective(conv.as_qdp(), l, traj) + conv.direction_constant(l)
     offset = obj_conv - obj_orig
 
     l_minus1, _ = _direction_parts(l, qdp.dims)

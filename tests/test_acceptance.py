@@ -128,7 +128,7 @@ def test_criterion_2_zero_shift_identity():
         conv = qs.convexify(qdp, 0.0)
         err = max(
             max(np.max(np.abs(conv.Qbar[k] - rs.K[k])) for k in range(qdp.dims.N + 1)),
-            max(np.max(np.abs(conv.stages[k].Rt - rs.W[k])) for k in range(qdp.dims.N)),
+            max(np.max(np.abs(conv.as_qdp().blocks["R"][k] - rs.W[k])) for k in range(qdp.dims.N)),
         )
         worst = max(worst, err)
         if err > 1e-10:
@@ -147,11 +147,12 @@ def test_criterion_3_definiteness_floors(medium_pool, tracking_pair):
         gamma = qs.reduced_hessian_gamma(qdp)
         for u in (0.1, 0.5, 0.9):
             conv = qs.convexify(qdp, u * gamma)
-            rt_min = min(np.linalg.eigvalsh(st.Rt)[0] for st in conv.stages)
+            cq = conv.as_qdp()
+            rt_min = min(np.linalg.eigvalsh(Rt)[0] for Rt in cq.blocks["R"])
             floor = (gamma / (gamma + conv.max_block_norm())) ** 2 * conv.delta
             h_min = min(
-                min(np.linalg.eigvalsh(st.hessian())[0] for st in conv.stages),
-                np.linalg.eigvalsh(conv.terminal_Qt)[0],
+                min(np.linalg.eigvalsh(hessian)[0] for hessian in cq.stage_hessians()),
+                np.linalg.eigvalsh(cq.terminal_Q)[0],
             )
             worst_rt = min(worst_rt, rt_min - gamma)
             worst_h = min(worst_h, h_min - floor)
@@ -175,10 +176,11 @@ def test_criterion_4_shift_claim_identities(medium_pool):
             direct = qs.convexify(qdp, delta)
             via = qs.convexify(qs.shifted_problem(qdp, delta), 0.0)
             err = 0.0
+            got, want = via.as_qdp().blocks, direct.as_qdp().blocks
             for k in range(qdp.dims.N):
-                err = max(err, np.max(np.abs(via.stages[k].Rt - direct.stages[k].Rt)))
-                err = max(err, np.max(np.abs(via.stages[k].St - direct.stages[k].St)))
-                err = max(err, np.max(np.abs(via.stages[k].Qt - (direct.stages[k].Qt - delta * eye))))
+                err = max(err, np.max(np.abs(got["R"][k] - want["R"][k])))
+                err = max(err, np.max(np.abs(got["S"][k] - want["S"][k])))
+                err = max(err, np.max(np.abs(got["Q"][k] - (want["Q"][k] - delta * eye))))
             for k in range(qdp.dims.N + 1):
                 err = max(err, np.max(np.abs(via.Qbar[k] - direct.Qbar[k])))
             worst = max(worst, err)

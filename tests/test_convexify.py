@@ -9,13 +9,14 @@ from conftest import overflowing, planted, random_direction
 
 
 def min_stage_hessian_eig(conv):
-    vals = [np.linalg.eigvalsh(st.hessian())[0] for st in conv.stages]
-    vals.append(np.linalg.eigvalsh(conv.terminal_Qt)[0])
+    cq = conv.as_qdp()
+    vals = [np.linalg.eigvalsh(hessian)[0] for hessian in cq.stage_hessians()]
+    vals.append(np.linalg.eigvalsh(cq.terminal_Q)[0])
     return min(vals)
 
 
 def min_rt_eig(conv):
-    return min(np.linalg.eigvalsh(st.Rt)[0] for st in conv.stages)
+    return min(np.linalg.eigvalsh(Rt)[0] for Rt in conv.as_qdp().blocks["R"])
 
 
 class TestConvexifyIdentities:
@@ -34,10 +35,10 @@ class TestConvexifyIdentities:
         ]
         qdp = qs.QdpProblem(dims, stages, gamma * np.eye(2))
         conv = qs.convexify(qdp, gamma)
-        for k, st in enumerate(conv.stages):
-            assert np.max(np.abs(st.Qt - gamma * np.eye(2))) <= 1e-12
-            assert np.max(np.abs(st.Rt - gamma * np.eye(2))) <= 1e-12
-            assert np.max(np.abs(st.St)) <= 1e-12
+        for k, st in enumerate(conv.as_qdp().stages):
+            assert np.max(np.abs(st.Q - gamma * np.eye(2))) <= 1e-12
+            assert np.max(np.abs(st.R - gamma * np.eye(2))) <= 1e-12
+            assert np.max(np.abs(st.S)) <= 1e-12
             assert np.max(np.abs(conv.Qbar[k])) <= 1e-12
 
     def test_decoupled_dynamics_passthrough(self):
@@ -57,17 +58,17 @@ class TestConvexifyIdentities:
         qdp = qs.QdpProblem(dims, stages, Qs[4])
         delta = 0.25
         conv = qs.convexify(qdp, delta)
-        for k, st in enumerate(conv.stages):
-            assert np.allclose(st.Rt, Rs[k])
-            assert np.allclose(st.Qt, delta * np.eye(2))
+        for k, st in enumerate(conv.as_qdp().stages):
+            assert np.allclose(st.R, Rs[k])
+            assert np.allclose(st.Q, delta * np.eye(2))
             assert np.allclose(conv.Qbar[k], Qs[k] - delta * np.eye(2))
 
     def test_schur_identity(self, small_pool):
         for qdp in small_pool:
             gamma = qs.reduced_hessian_gamma(qdp)
             conv = qs.convexify(qdp, 0.5 * gamma)
-            for st in conv.stages:
-                schur = st.Qt - st.St.T @ np.linalg.solve(st.Rt, st.St)
+            for st in conv.as_qdp().stages:
+                schur = st.Q - st.S.T @ np.linalg.solve(st.R, st.S)
                 assert np.max(np.abs(schur - conv.delta * np.eye(qdp.dims.nx))) <= 1e-9
 
     def test_cross_blocks_equal_stage_loop(self, small_pool):
@@ -75,9 +76,9 @@ class TestConvexifyIdentities:
         products they replace give the same bits."""
         for qdp in small_pool:
             conv = qs.convexify(qdp, 0.5 * qs.reduced_hessian_gamma(qdp))
-            for k, (st, ct) in enumerate(zip(qdp.stages, conv.stages)):
-                assert np.array_equal(ct.Dt1, st.D1 + st.C.T @ conv.Qbar[k + 1] @ st.A)
-                assert np.array_equal(ct.Dt2, st.D2 + st.C.T @ conv.Qbar[k + 1] @ st.B)
+            for k, (st, ct) in enumerate(zip(qdp.stages, conv.as_qdp().stages)):
+                assert np.array_equal(ct.D1, st.D1 + st.C.T @ conv.Qbar[k + 1] @ st.A)
+                assert np.array_equal(ct.D2, st.D2 + st.C.T @ conv.Qbar[k + 1] @ st.B)
 
 
 class TestDefinitenessGuarantees:
@@ -116,7 +117,7 @@ class TestDefinitenessGuarantees:
             for k in range(qdp.dims.N + 1):
                 assert np.max(np.abs(conv.Qbar[k] - rs.K[k])) <= 1e-10
             for k in range(qdp.dims.N):
-                assert np.max(np.abs(conv.stages[k].Rt - rs.W[k])) <= 1e-10
+                assert np.max(np.abs(conv.as_qdp().blocks["R"][k] - rs.W[k])) <= 1e-10
 
 
 class TestShiftedProblem:
@@ -144,10 +145,11 @@ class TestShiftedProblem:
             direct = qs.convexify(qdp, delta)
             via_shift = qs.convexify(qs.shifted_problem(qdp, delta), 0.0)
             eye = np.eye(qdp.dims.nx)
+            via, want = via_shift.as_qdp().blocks, direct.as_qdp().blocks
             for k in range(qdp.dims.N):
-                assert np.max(np.abs(via_shift.stages[k].Rt - direct.stages[k].Rt)) <= 1e-10
-                assert np.max(np.abs(via_shift.stages[k].St - direct.stages[k].St)) <= 1e-10
-                assert np.max(np.abs(via_shift.stages[k].Qt - (direct.stages[k].Qt - delta * eye))) <= 1e-10
+                assert np.max(np.abs(via["R"][k] - want["R"][k])) <= 1e-10
+                assert np.max(np.abs(via["S"][k] - want["S"][k])) <= 1e-10
+                assert np.max(np.abs(via["Q"][k] - (want["Q"][k] - delta * eye))) <= 1e-10
             for k in range(qdp.dims.N + 1):
                 assert np.max(np.abs(via_shift.Qbar[k] - direct.Qbar[k])) <= 1e-10
 
@@ -209,7 +211,7 @@ class TestErrors:
             A=[[0.5]], B=np.zeros((1, 2)), C=[[0.0]], terminal_Q=[[1.0]])
         conv = qs.convexify(qdp, 0.0)
         assert conv.semidefinite
-        assert all(np.array_equal(st.Rt, np.diag([1.0, -1.0])) for st in conv.stages)
+        assert all(np.array_equal(Rt, np.diag([1.0, -1.0])) for Rt in conv.as_qdp().blocks["R"])
         with pytest.raises(qs.NotPositiveDefinite) as err:
             qs.convexify(qdp, 0.1)
         assert (err.value.stage, err.value.min_eig) == (3, -1.0)

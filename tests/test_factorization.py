@@ -139,7 +139,7 @@ def _per_block_max(blocks) -> float:
 
 
 QDP_BLOCKS = ("Q", "R", "S", "D1", "D2", "A", "B", "C")
-CONV_BLOCKS = ("Qt", "Rt", "St", "Dt1", "Dt2")
+CONV_BLOCKS = ("Q", "R", "S", "D1", "D2")
 
 
 class TestStackedBlockNorms:
@@ -149,9 +149,9 @@ class TestStackedBlockNorms:
     def check(qdp):
         fac = qs.factorize(qdp)
         conv = fac.convexified
+        cq = conv.as_qdp()
         qdp_stacks = [[qdp.terminal_Q]] + [[getattr(st, n) for st in qdp.stages] for n in QDP_BLOCKS]
-        conv_stacks = [[conv.terminal_Qt]] + [[getattr(st, n) for st in conv.stages]
-                                              for n in CONV_BLOCKS]
+        conv_stacks = [[cq.terminal_Q]] + [[getattr(st, n) for st in cq.stages] for n in CONV_BLOCKS]
         for blocks in qdp_stacks + conv_stacks + [fac.riccati.K]:
             assert max_operator_norm(blocks) == pytest.approx(_per_block_max(blocks), rel=1e-14)
         for whole, stacks in ((qdp.max_block_norm(), qdp_stacks),

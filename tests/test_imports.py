@@ -72,6 +72,15 @@ def test_curvature_imports_nothing_from_nullspace():
     assert "nullspace" not in modules_imported_by("curvature")
 
 
+def test_only_verify_imports_nullspace():
+    """The dense constraint code is an oracle: besides the package's re-exports, only
+    ``verify`` imports it, and ``sensitivity`` keeps no binding of the dense gamma."""
+    importers = {path.stem for path in SRC.glob("*.py")
+                 if "nullspace" in modules_imported_by(path.stem)}
+    assert importers == {"verify", "__init__"}
+    assert not hasattr(qs.sensitivity, "reduced_hessian_gamma")
+
+
 def test_only_nullspace_calls_the_dense_gamma():
     """``reduced_hessian_gamma`` is the tests' oracle: no other module calls it."""
     callers = set()

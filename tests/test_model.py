@@ -185,6 +185,19 @@ class TestTrackingToyLinearization:
         assert np.array_equal(model.d0, np.zeros(model.dims.n_dir))
         assert moved.d_stage(1)[0] == 2.0
 
+    def test_multiplier_recovery_matches_newton_off_the_base_point(self):
+        """At a Newton-solved, perturbed reference the multipliers are nonzero, and the
+        adjoint recursion reproduces the Newton multipliers."""
+        base = qs.tracking_toy_model(40, 10.0, 1.0, "exp")
+        d = base.d0 + 0.1 * np.random.default_rng(5).standard_normal(base.dims.n_dir)
+        sol = qs.newton_equality_solve(base, d, base.base_trajectory())
+        model = qs.NldpModel(**{**base.__dict__, "d0": d, "x0": sol.trajectory.states,
+                                "u0": sol.trajectory.controls, "multipliers": None})
+        lam = qs.recover_multipliers(model)
+        want = sol.multipliers.reshape(lam.shape)
+        assert np.max(np.abs(want)) >= 0.5
+        assert np.max(np.abs(lam - want)) <= 1e-12
+
     def test_multiplier_recovery_rejects_nonstationary_base(self):
         model = qs.tracking_toy_model(4, 10.0, 1.0, "linear")
         fields = dict(model.__dict__)

@@ -192,7 +192,7 @@ class TestForwardSolve:
         rng = np.random.default_rng(4)
         for qdp in shape_pool:
             fac = qs.factorize(qdp)
-            rs, cq, dims = fac.riccati, fac.convexified_qdp, qdp.dims
+            rs, cq, dims = fac.riccati, fac.convexified.as_qdp(), qdp.dims
             N, nx, nu = dims.N, dims.nx, dims.nu
             for L in (np.eye(dims.n_dir), rng.standard_normal((3, dims.n_dir))):
                 m = L.shape[0]
