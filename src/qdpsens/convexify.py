@@ -116,7 +116,8 @@ def convexify(qdp: QdpProblem, delta: float) -> ConvexifiedQdp:
     F, qbar, X, stop, eigs = _sweep(H, AB, qdp.terminal_Q - shift, _SYSV)
     magnitude = np.abs(eigs)
     min_abs = magnitude.min(axis=1)
-    singular = min_abs <= INVERTIBILITY_TOL * magnitude.max(axis=1)
+    floor = INVERTIBILITY_TOL * magnitude.max(axis=1)
+    singular = min_abs <= floor
     if stop is not None:
         singular[0] = True
     failed = np.flatnonzero(singular | ((delta > 0) & (eigs[:, 0] < 0)))
@@ -124,7 +125,7 @@ def convexify(qdp: QdpProblem, delta: float) -> ConvexifiedQdp:
         j = failed[-1]
         k = (stop or 0) + int(j)
         if singular[j]:
-            raise NonInvertibleRtilde(k, float(min_abs[j]))
+            raise NonInvertibleRtilde(k, float(min_abs[j]), float(floor[j]))
         raise NotPositiveDefinite(k, float(eigs[j, 0]))
 
     St = F[:, nx:, :nx]

@@ -19,21 +19,24 @@ A pass is one such recursion ("count pass"): the stage kernel
 the first W_k that is not positive definite, since that alone decides the
 sign. At a zero count the gains X_k = W_k^{-1} G_k of the pass give the
 closed loop E_k = A_k - B_k X_k, through which every upper-bound vector is
-rolled from p_0 = 0: its controls are q_k = v_k - X_k p_k for a
-feedforward v, so the vector is feasible, rounding is not amplified on
-expanding dynamics, and its Rayleigh quotient bounds gamma from above.
+rolled from p_0 = 0, p_{k+1} = E_k p_k + B_k v_k for a feedforward v: its
+controls are q_k = v_k - X_k p_k, so the vector is feasible, rounding is
+not amplified on expanding dynamics, and its Rayleigh quotient bounds
+gamma from above. A shifted solve is one adjoint sweep for v and one such
+roll (``model._adjoint`` and ``model._roll``, shared with ``riccati``).
 
 ``gamma_bracket`` returns (lo, hi) with lo a shift at which a pass returned
 zero with its guard clear (a proven lower bound) and hi a Rayleigh quotient
 or a shift with a nonzero count (an upper bound). The estimate that places
 the shifts comes from one of two paths chosen by the kernel dimension
 N * nu. Up to ``_DENSE_ESTIMATE_MAX`` it is the smallest eigenpair of the
-reduced Hessian over an orthonormal basis of the control-to-trajectory map
-(``_Shifted.estimate``): one closing pass just below the eigenvalue, and
-the eigenvector, rolled through that pass's closed loop, gives hi. Above
-it, shifted solves (inverse iteration with a linear term, up to
-INNER_STEPS per pass) and bisection place the shifts; they are also the
-fallback when the closing pass does not close the bracket.
+reduced Hessian over an orthonormal basis of the control-to-trajectory map,
+the open-loop roll of unit controls (``_Shifted.estimate``): one closing
+pass just below the eigenvalue, and the eigenvector, rolled through that
+pass's closed loop, gives hi. Above it, shifted solves (inverse iteration
+with a linear term, up to INNER_STEPS per pass) and bisection place the
+shifts; they are also the fallback when the closing pass does not close
+the bracket.
 
 Guard. W_k = R_k - sigma I + B_k' K_{k+1} B_k cancels when K grows, and
 then its sign is rounding. Each pass compares every processed block's
@@ -55,7 +58,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .exceptions import SoscFailed, UncertainInertia
-from .model import QdpProblem
+from .model import QdpProblem, _adjoint, _roll
 from .riccati import _POSV, _rounding_guard, _sweep
 
 BRACKET_RTOL = 1e-10
@@ -119,26 +122,20 @@ class _Shifted:
     def estimate(self) -> tuple:
         """(gamma estimate, its stacked kernel vector) from the control-to-trajectory map.
 
-        T (n_z x N nu) maps the controls to (p_0; q_0; ...; p_N) with p_0 = 0 and
-        p_{k+1} = A_k p_k + B_k q_k, so its range is the kernel of the
-        constraints. One thin QR of T without its p_0 rows gives an orthonormal
-        basis Q; Q' H Q is summed over the block-diagonal stage Hessians, and
-        one ``syevr`` call gives its smallest eigenpair. The estimate is nan
-        when T overflows or the eigensolver fails; the count then decides alone.
+        T (n_z x N nu), the open-loop roll (E_k = A_k, P_k = 0) of one unit
+        control per column, maps the controls to (p_0; q_0; ...; p_N) with
+        p_0 = 0 and p_{k+1} = A_k p_k + B_k q_k, so its range is the kernel of
+        the constraints. One thin QR of T without its p_0 rows gives an
+        orthonormal basis Q; Q' H Q is summed over the block-diagonal stage
+        Hessians, and one ``syevr`` call gives its smallest eigenpair. The
+        estimate is nan when T overflows or the eigensolver fails; the count
+        then decides alone.
         """
         dims = self.dims
         N, nx, nu = dims.N, dims.nx, dims.nu
         width, m = nx + nu, N * nu
-        T = np.zeros((dims.n_z, m))
-        body = T[:N * width].reshape(N, width, m)
-        cols = np.arange(m)
-        body[cols // nu, nx + cols % nu, cols] = 1.0
-        prev = None
-        for k, (A_k, B_k, state) in enumerate(zip(self.A, self.B, [*body[1:, :nx], T[N * width:]])):
-            if k:
-                state[:, :k * nu] = A_k @ prev[:, :k * nu]
-            state[:, k * nu:(k + 1) * nu] = B_k
-            prev = state
+        units = np.eye(m).reshape(N, nu, m)
+        T = _roll(self.A, np.zeros((N, nu, nx)), units, self.B @ units, np.zeros((nx, m))).T
         if not np.isfinite(T.sum()):
             return np.nan, None
         qr, tau, *_ = lapack.dgeqrf(T[nx:])
@@ -153,51 +150,38 @@ class _Shifted:
             return np.nan, None
         return float(value[0]), Q @ vector[:, 0]
 
-    def roll(self, E: np.ndarray, X: np.ndarray, feedforward: np.ndarray) -> np.ndarray:
-        """Stacked (p_0; q_0; ...; p_N) of the controls q_k = feedforward_k - X_k p_k
-        rolled from p_0 = 0 through the closed loop E_k = A_k - B_k X_k."""
-        N, nx = self.dims.N, self.dims.nx
-        push = (self.B @ feedforward[:, :, None])[:, :, 0]
-        p = [np.zeros(nx)]
-        for E_k, push_k in zip(E, push):
-            p.append(E_k @ p[-1] + push_k)
-        p = np.array(p)
-        q = feedforward - (X @ p[:N, :, None])[:, :, 0]
-        return np.concatenate([np.concatenate([p[:N], q], axis=1).reshape(-1), p[N]])
-
     def reroll(self, cp: CountPass, w: np.ndarray) -> np.ndarray:
-        """w rolled again through the closed loop of a zero-count pass: the feedforward
-        v_k = q_k + X_k p_k of its own states and controls."""
+        """w rolled again through the closed loop E_k = A_k - B_k X_k of a zero-count pass
+        from p_0 = 0: the feedforward v_k = q_k + X_k p_k of its own states and controls."""
         dims = self.dims
         body = w[:dims.N * (dims.nx + dims.nu)].reshape(dims.N, dims.nx + dims.nu)
         p, q = body[:, :dims.nx], body[:, dims.nx:]
-        return self.roll(self.A - self.B @ cp.X, cp.X, q + (cp.X @ p[:, :, None])[:, :, 0])
+        feedforward = q + (cp.X @ p[:, :, None])[:, :, 0]
+        push = (self.B @ feedforward[:, :, None])[:, :, 0]
+        return _roll(self.A - self.B @ cp.X, -cp.X, feedforward, push, np.zeros(dims.nx))
 
     def solver(self, cp: CountPass):
         """Shifted solves at a zero-count pass: v -> kernel minimizer of w' (H - sigma I) w - 2 v' w.
 
-        Tail costs are p' K_k p - 2 s_k' p with s_N = a_N and
+        Tail costs are p' K_k p - 2 s_k' p for the adjoint s_N = a_N,
         s_k = a_k - X_k' b_k + E_k' s_{k+1}, where (a; b) are the state and
         control parts of v. The controls q_k = W_k^{-1} (b_k + B_k' s_{k+1}) - X_k p_k
-        are rolled from p_0 = 0.
+        are rolled through the closed loop E_k = A_k - B_k X_k from p_0 = 0.
         """
         dims = self.dims
         N, nx, nu = dims.N, dims.nx, dims.nu
         B = self.B
         W_inv = np.linalg.inv(cp.W)
         X = cp.X
-        E = self.A - B @ X
-        X_t, E_t, B_t = np.swapaxes(X, 1, 2), np.swapaxes(E, 1, 2), np.swapaxes(B, 1, 2)
+        P, E = -X, self.A - B @ X
+        X_t, B_t = np.swapaxes(X, 1, 2), np.swapaxes(B, 1, 2)
 
         def solve(v: np.ndarray) -> np.ndarray:
             body = v[:N * (nx + nu)].reshape(N, nx + nu, 1)
             a, b = body[:, :nx], body[:, nx:]
-            drive = (a - X_t @ b)[:, :, 0]
-            s = [v[N * (nx + nu):]]
-            for E_t_k, drive_k in zip(E_t[:0:-1], drive[:0:-1]):
-                s.append(drive_k + E_t_k @ s[-1])
-            feedforward = W_inv @ (b + B_t @ np.array(s[::-1])[:, :, None])
-            return self.roll(E, X, feedforward[:, :, 0])
+            s = _adjoint(E, (a - X_t @ b)[:, :, 0], v[N * (nx + nu):])
+            feedforward = (W_inv @ (b + B_t @ s[1:, :, None]))[:, :, 0]
+            return _roll(E, P, feedforward, (B @ feedforward[:, :, None])[:, :, 0], np.zeros(nx))
 
         return solve
 

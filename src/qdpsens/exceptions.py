@@ -42,12 +42,14 @@ class UncertainInertia(QdpSensError):
 class NonInvertibleRtilde(QdpSensError):
     """The convexification recursion hit a numerically singular R-block."""
 
-    def __init__(self, stage: int, min_abs_eig: float):
+    def __init__(self, stage: int, min_abs_eig: float, threshold: float):
         self.stage = stage
         self.min_abs_eig = min_abs_eig
+        self.threshold = threshold
         super().__init__(
             f"transformed control block at stage {stage} is numerically "
-            f"singular (|eig|_min = {min_abs_eig:.3e}); recursion undefined"
+            f"singular (|eig|_min = {min_abs_eig:.3e} <= {threshold:.3e}, its floor "
+            f"relative to its largest |eigenvalue|); recursion undefined"
         )
 
 
@@ -67,13 +69,14 @@ class NotPositiveDefinite(QdpSensError):
 class IndefiniteW(QdpSensError):
     """Backward recursion control-weight block is not positive definite."""
 
-    def __init__(self, stage: int, min_eig: float):
+    def __init__(self, stage: int, min_eig: float, threshold: float):
         self.stage = stage
         self.min_eig = min_eig
+        self.threshold = threshold
         super().__init__(
             f"control weight at stage {stage} has minimum eigenvalue "
-            f"{min_eig:.6g} <= 1e-12 times its largest |eigenvalue|; "
-            f"indefinite input beyond the reach of the backward recursion"
+            f"{min_eig:.6g} <= {threshold:.3e}, its floor relative to its largest "
+            f"|eigenvalue|; indefinite input beyond the reach of the backward recursion"
         )
 
 

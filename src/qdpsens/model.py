@@ -383,6 +383,31 @@ class Trajectory:
         return np.linalg.norm(self.controls, axis=1)
 
 
+def _adjoint(E: Array, drive: Array, s_N: Array) -> Array:
+    """The backward adjoint s_k = drive_k + E_k' s_{k+1} from s_N, as the (N + 1, ...) stack
+    s_0, ..., s_N; s_N is one vector or one block of columns."""
+    s = [s_N]
+    for E_t_k, drive_k in zip(np.swapaxes(E, 1, 2)[::-1], drive[::-1]):
+        s.append(drive_k + E_t_k @ s[-1])
+    return np.array(s[::-1])
+
+
+def _roll(E: Array, P: Array, feedforward: Array, push: Array, p_0: Array) -> Array:
+    """The roll p_{k+1} = E_k p_k + push_k from p_0, with q_k = P_k p_k + feedforward_k
+    formed after the loop: the stacked (p_0; q_0; ...; p_N) of every column of a
+    block p_0 as the rows of an (m, n_z) array, or one vector for a vector p_0."""
+    (N, nu, nx), columns = P.shape, np.shape(p_0)[1:]
+    p = [p_0]
+    for E_k, push_k in zip(E, push):
+        p.append(E_k @ p[-1] + push_k)
+    m = columns[0] if columns else 1
+    p = np.array(p).reshape(N + 1, nx, m)
+    q = P @ p[:N] + feedforward.reshape(N, nu, m)
+    body = np.concatenate([p[:N], q], axis=1).reshape(N * (nx + nu), m)
+    rows = np.ascontiguousarray(np.concatenate([body, p[N]]).T)
+    return rows if columns else rows[0]
+
+
 def eval_qdp_objective(qdp: QdpProblem, l, w: Trajectory) -> float:
     """Stagewise objective value at trajectory w for direction l.
 
@@ -520,10 +545,7 @@ def recover_multipliers(model: NldpModel) -> Array:
     A, B, _ = _jacobian_stacks(model, model.x0, model.u0, model.d0)
     grad = cost_gradient_vector(model, model.x0, model.u0, model.d0)
     body = grad[:-nx].reshape(N, nx + dims.nu)
-    lam = np.empty((N + 1, nx))
-    lam[N] = -grad[-nx:]
-    for k in range(N - 1, -1, -1):
-        lam[k] = A[k].T @ lam[k + 1] - body[k, :nx]
+    lam = _adjoint(A, -body[:, :nx], -grad[-nx:])
     residual = float(np.max(np.abs(body[:, nx:] - np.einsum("kij,ki->kj", B, lam[1:]))))
     if residual > 1e-6:
         raise MultiplierRecoveryError(residual)

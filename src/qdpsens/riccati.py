@@ -26,12 +26,12 @@ maps that check these recursions are oracles and live in ``verify``.
 
 Every direction shares that one factorization, and the minimizer is linear
 in the direction, so a block of m directions (the columns of L_k, nd x m)
-is reconstructed by one influence sweep and one forward roll over
-(nx x m) and (nu x m) blocks. The influence sweep carries a single
-accumulator for the later-stage direction blocks,
+is reconstructed by one adjoint sweep and one closed-loop roll over
+(nx x m) and (nu x m) blocks (``model._adjoint`` and ``model._roll``). The
+adjoint carries a single accumulator for the later-stage direction blocks,
 
-    s_N = 0,
-    s_k = -(D1_k + D2_k P_k)' L_k + E_k' (s_{k+1} - K_{k+1} C_k L_k),
+    s_N = 0,  s_k = drive_k + E_k' s_{k+1},
+    drive_k = -(E_k' K_{k+1} C_k L_k + (D1_k + D2_k P_k)' L_k),
 
 which equals sum_{i>=k} [(M_i^k)' l_i + (V_i^k)' C_i l_i] for the chains
 
@@ -43,7 +43,8 @@ term of the tail cost from stage k. The optimal control law is
 
     q_k(p_k) = P_k p_k + W_k^{-1} [B_k' (s_{k+1} - K_{k+1} C_k L_k) - D2_k' L_k],
 
-whose feedforward terms are one stacked product with the W_k^{-1} stack.
+whose feedforward ff_k, one stacked product with the W_k^{-1} stack, pushes
+the roll p_{k+1} = E_k p_k + B_k ff_k + C_k L_k from p_0 = l_{-1}.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from scipy.linalg import lapack
 
 from ._linalg import asymmetry, inf_norm, symmetrize
 from .exceptions import IndefiniteW, UncertainInertia, ValidationError
-from .model import Dims, QdpProblem, Trajectory, _direction_parts, _freeze
+from .model import Dims, QdpProblem, Trajectory, _adjoint, _direction_parts, _freeze, _roll
 
 W_MIN_EIG = 1e-12
 GUARD_UNITS = 16.0
@@ -167,12 +168,13 @@ def backward_pass(qdp: QdpProblem) -> RiccatiSolution:
     AB = np.concatenate([blocks["A"], blocks["B"]], axis=2)
     F, K, X, stop, eigs = _sweep(H, AB, qdp.terminal_Q, _POSV)
     low = eigs[:, 0]
-    failed = low <= W_MIN_EIG * np.maximum(-low, eigs[:, -1])
+    floor = W_MIN_EIG * np.maximum(-low, eigs[:, -1])
+    failed = low <= floor
     if stop is not None:
         failed[0] = True
     if failed.any():
         j = np.flatnonzero(failed)[-1]
-        raise IndefiniteW((stop or 0) + int(j), float(low[j]))
+        raise IndefiniteW((stop or 0) + int(j), float(low[j]), float(floor[j]))
     guard = _rounding_guard(low, blocks["R"], blocks["B"], K[1:], 0)
     if guard is not None:
         raise UncertainInertia(*guard)
@@ -196,43 +198,31 @@ def backward_pass(qdp: QdpProblem) -> RiccatiSolution:
 def _influence_sweep(rs: RiccatiSolution, qdp: QdpProblem, lst: np.ndarray) -> tuple:
     """(s, CL, KCL) for direction blocks lst (N, nd, m): the accumulators s_0..s_N,
     shape (N + 1, nx, m), and the stacks C_k L_k and K_{k+1} C_k L_k, (N, nx, m)
-    each, which the forward roll reuses. Only the accumulation is a loop."""
-    dims = qdp.dims
+    each, which the forward roll reuses. Only the adjoint is a loop."""
     blocks = qdp.blocks
     cl = blocks["C"] @ lst
     kcl = rs.K[1:] @ cl
     source = np.swapaxes(blocks["D1"] + blocks["D2"] @ rs.P, 1, 2) @ lst
-    s = np.zeros((dims.N + 1, dims.nx, lst.shape[2]))
-    for k in range(dims.N - 1, -1, -1):
-        s[k] = rs.E[k].T @ (s[k + 1] - kcl[k]) - source[k]
-    return s, cl, kcl
+    drive = -(np.swapaxes(rs.E, 1, 2) @ kcl + source)
+    return _adjoint(rs.E, drive, np.zeros((qdp.dims.nx, lst.shape[2]))), cl, kcl
 
 
 def forward_solve_block(rs: RiccatiSolution, qdp: QdpProblem, L: np.ndarray) -> np.ndarray:
     """Stacked minimizers (p_0; q_0; ...; p_N) for every row of L, shape (m, n_z).
 
     L holds one dense direction (l_{-1}; l_0; ...; l_{N-1}) per row. States
-    come from rolling the dynamics under the optimal controls, so every row
-    is feasible by construction. The control drives and their W_k^{-1}
-    products are formed over the stacks before the roll, which carries only
-    the states.
+    come from rolling the closed loop under the optimal feedforward, so every
+    row is feasible by construction; only the roll over the states is a loop.
     """
     dims = qdp.dims
-    N, nx, nu = dims.N, dims.nx, dims.nu
+    N, nx = dims.N, dims.nx
     m = L.shape[0]
     lst = np.ascontiguousarray(L[:, nx:].reshape(m, N, dims.nd).transpose(1, 2, 0))
     s, cl, kcl = _influence_sweep(rs, qdp, lst)
-    A, B, D2 = qdp.blocks["A"], qdp.blocks["B"], qdp.blocks["D2"]
+    B, D2 = qdp.blocks["B"], qdp.blocks["D2"]
     drive = np.swapaxes(B, 1, 2) @ (s[1:] - kcl) - np.swapaxes(D2, 1, 2) @ lst
     feedforward = rs.W_inv @ drive
-    states = np.empty((N + 1, nx, m))
-    controls = np.empty((N, nu, m))
-    states[0] = L[:, :nx].T
-    for k in range(N):
-        controls[k] = rs.P[k] @ states[k] + feedforward[k]
-        states[k + 1] = A[k] @ states[k] + B[k] @ controls[k] + cl[k]
-    body = np.concatenate([states[:N], controls], axis=1).reshape(N * (nx + nu), m)
-    return np.ascontiguousarray(np.concatenate([body, states[N]]).T)
+    return _roll(rs.E, rs.P, feedforward, B @ feedforward + cl, L[:, :nx].T)
 
 
 def forward_solve(rs: RiccatiSolution, qdp: QdpProblem, l) -> Trajectory:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qdpsens as qs
+from qdpsens.convexify import INVERTIBILITY_TOL
 
 from conftest import overflowing, planted, random_direction
 
@@ -202,6 +203,17 @@ class TestErrors:
             qs.convexify(planted({stage: np.diag([-1.0, -2.0 + 1e-13])}), 0.0)
         assert err.value.stage == stage
         assert err.value.min_abs_eig == pytest.approx(1e-13, rel=1e-2)
+
+    @pytest.mark.parametrize("stage", [0, 3, 5])
+    def test_near_singular_rt_carries_its_threshold(self, stage):
+        """The error carries and prints the floor it failed: INVERTIBILITY_TOL times the
+        block's largest |eigenvalue|, which is 1 for the planted Rt = diag(1, 1e-13)."""
+        with pytest.raises(qs.NonInvertibleRtilde) as err:
+            qs.convexify(planted({stage: np.diag([-1.0, -2.0 + 1e-13])}), 0.0)
+        assert err.value.stage == stage
+        assert abs(err.value.min_abs_eig) <= err.value.threshold
+        assert err.value.threshold == pytest.approx(INVERTIBILITY_TOL, rel=1e-12)
+        assert f"stage {stage}" in str(err.value) and f"{err.value.threshold:.3e}" in str(err.value)
 
     def test_indefinite_rt_accepted_at_zero_shift_only(self):
         """B = 0 keeps Rt_k = R_k = diag(1, -1), invertible and indefinite at every stage."""

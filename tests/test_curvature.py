@@ -216,6 +216,20 @@ class TestCount:
             assert cs.residual(w) <= 1e-10 * np.max(np.abs(w))
             assert shifted.rayleigh(w) >= qs.reduced_hessian_gamma(qdp) * (1.0 - 1e-12)
 
+    def test_shifted_solve_is_the_kernel_minimizer(self, small_pool):
+        """The solve returns Z (Z' (H - sigma I) Z)^{-1} Z' v over an orthonormal kernel
+        basis Z, not only some feasible vector; the pool plus one nu < nx instance."""
+        rng = np.random.default_rng(3)
+        for qdp in [*small_pool, qs.random_sosc_qdp(41, N=6, nx=4, nu=2, nd=3)]:
+            sigma = 0.5 * qs.reduced_hessian_gamma(qdp)
+            shifted = curvature._Shifted(qdp)
+            v = rng.standard_normal(qdp.dims.n_z)
+            w = shifted.solver(shifted.count(sigma))(v)
+            Z = qs.nullspace_basis(qs.assemble_constraints(qdp, np.zeros(qdp.dims.n_dir))).Z
+            reduced = Z.T @ (qdp.full_hessian() - sigma * np.eye(qdp.dims.n_z)) @ Z
+            want = Z @ np.linalg.solve(reduced, Z.T @ v)
+            assert np.linalg.norm(w - want) <= 1e-10 * np.linalg.norm(want)
+
 
 def _indefinite_at(stage, N=5):
     """A = 0, B = 1, so W_k = R_k + Q_{k+1} = 3 at every stage but the chosen one, where it is -1."""

@@ -91,6 +91,24 @@ class TestBackwardPass:
         assert err.value.stage == stage
         assert 0.0 < err.value.min_eig <= qs.riccati.W_MIN_EIG
 
+    @pytest.mark.parametrize("stage", [0, 3, 5])
+    def test_w_below_its_floor_carries_its_threshold(self, stage):
+        """The error carries and prints the floor it failed: W_MIN_EIG times the block's
+        largest |eigenvalue|, which is 1 for the planted W = diag(1, 1e-14)."""
+        with pytest.raises(qs.IndefiniteW) as err:
+            qs.backward_pass(planted({stage: BELOW_FLOOR}))
+        assert err.value.stage == stage
+        assert abs(err.value.min_eig) <= err.value.threshold
+        assert err.value.threshold == pytest.approx(qs.riccati.W_MIN_EIG, rel=1e-12)
+        assert f"stage {stage}" in str(err.value) and f"{err.value.threshold:.3e}" in str(err.value)
+
+    def test_indefinite_w_carries_its_threshold(self):
+        with pytest.raises(qs.IndefiniteW) as err:
+            qs.backward_pass(planted({3: np.diag([-3.0, 1.0])}))
+        assert err.value.stage == 3
+        assert err.value.min_eig <= err.value.threshold
+        assert 0.0 < err.value.threshold <= 1e-11
+
     def test_first_failing_stage_in_backward_order_is_named(self):
         qdp = planted({1: np.diag([-3.0, 1.0]), 4: BELOW_FLOOR})
         with pytest.raises(qs.IndefiniteW) as err:
@@ -188,7 +206,9 @@ class TestForwardSolve:
 
     def test_stacked_sweeps_equal_stage_loop(self, shape_pool):
         """The sweeps form their direction products over the stacks before
-        looping; the per-stage loops they replace give the same bits."""
+        looping; per-stage loops in the same closed-loop form, the adjoint
+        s_k = drive_k + E_k' s_{k+1} and the roll p_{k+1} = E_k p_k + push_k,
+        give the same bits."""
         rng = np.random.default_rng(4)
         for qdp in shape_pool:
             fac = qs.factorize(qdp)
@@ -200,14 +220,16 @@ class TestForwardSolve:
                 s = np.zeros((N + 1, nx, m))
                 for k in range(N - 1, -1, -1):
                     st, lk = cq.stages[k], lst[k]
-                    s[k] = rs.E[k].T @ (s[k + 1] - rs.K[k + 1] @ (st.C @ lk)) - (st.D1 + st.D2 @ rs.P[k]).T @ lk
+                    drive = -(rs.E[k].T @ (rs.K[k + 1] @ (st.C @ lk)) + (st.D1 + st.D2 @ rs.P[k]).T @ lk)
+                    s[k] = drive + rs.E[k].T @ s[k + 1]
                 states, controls = np.empty((N + 1, nx, m)), np.empty((N, nu, m))
                 states[0] = L[:, :nx].T
                 for k, st in enumerate(cq.stages):
                     cl = st.C @ lst[k]
                     drive = st.B.T @ (s[k + 1] - rs.K[k + 1] @ cl) - st.D2.T @ lst[k]
-                    controls[k] = rs.P[k] @ states[k] + rs.solve_W(k, drive)
-                    states[k + 1] = st.A @ states[k] + st.B @ controls[k] + cl
+                    feedforward = rs.solve_W(k, drive)
+                    controls[k] = rs.P[k] @ states[k] + feedforward
+                    states[k + 1] = rs.E[k] @ states[k] + (st.B @ feedforward + cl)
                 body = np.concatenate([states[:N], controls], axis=1).reshape(N * (nx + nu), m)
                 assert np.array_equal(_influence_sweep(rs, cq, lst)[0], s)
                 assert np.array_equal(forward_solve_block(rs, cq, L), np.concatenate([body, states[N]]).T)
